@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use afg_bench::zipf_schedule;
-use afg_core::{Autograder, Backend, FeedbackLevel, GradeOutcome, GraderConfig, SweepMode};
+use afg_core::{Autograder, Backend, FeedbackLevel, GradeOutcome, GraderConfig};
 use afg_corpus::{generate_corpus, problems, CorpusSpec};
 use afg_json::Json;
 use afg_service::client::Client;
@@ -43,7 +43,6 @@ struct Options {
     addr: Option<String>,
     no_cache: bool,
     backend: Backend,
-    sweep: SweepMode,
     classroom: bool,
     students: usize,
     skeletons: usize,
@@ -56,7 +55,7 @@ struct Options {
 fn usage() -> String {
     "usage: loadgen [--problem ID] [--attempts N] [--requests N] [--connections N]\n\
      \x20              [--seed S] [--addr HOST:PORT] [--no-cache]\n\
-     \x20              [--backend cegis|enum|portfolio] [--sweep compiled|tree]\n\
+     \x20              [--backend cegis|enum|portfolio]\n\
      \x20              [--classroom] [--students N] [--skeletons K]\n\
      \x20              [--no-transfer] [--workers N]\n\
      \n\
@@ -68,8 +67,6 @@ fn usage() -> String {
      --addr HOST:PORT  drive an external daemon instead of booting one\n\
      --no-cache        only run the cache-disabled mode\n\
      --backend B       synthesis back end on both daemon and library path\n\
-     --sweep M         verification sweeps: compiled bytecode VM (default)\n\
-     \x20               or the tree-walking interpreter\n\
      --io MODE         I/O core for the in-process daemon: epoll or threads\n\
      \x20               (default: the platform default, epoll on Linux)\n\
      \n\
@@ -102,7 +99,6 @@ fn parse_options() -> Options {
         addr: None,
         no_cache: false,
         backend: Backend::Cegis,
-        sweep: SweepMode::default(),
         classroom: false,
         students: 64,
         skeletons: 8,
@@ -147,10 +143,6 @@ fn parse_options() -> Options {
                 Some(backend) => options.backend = backend,
                 None => exit_usage("option '--backend' expects cegis, enum or portfolio"),
             },
-            "--sweep" => match iter.next().and_then(|v| SweepMode::parse(v)) {
-                Some(sweep) => options.sweep = sweep,
-                None => exit_usage("option '--sweep' expects compiled or tree"),
-            },
             "--io" => match iter.next().and_then(|v| IoMode::parse(v)) {
                 Some(io) => options.io = io,
                 None => exit_usage("option '--io' expects epoll or threads"),
@@ -174,8 +166,8 @@ fn parse_options() -> Options {
 /// regardless of machine load.  Small enough that the worst pathological
 /// submission grades in a couple of seconds on one core — loadgen measures
 /// the *service*, not the synthesizer's deep tail.
-fn budget(backend: Backend, sweep: SweepMode) -> GraderConfig {
-    let mut config = GraderConfig {
+fn budget(backend: Backend) -> GraderConfig {
+    GraderConfig {
         synthesis: afg_synth::SynthesisConfig {
             max_cost: 2,
             max_candidates: 300,
@@ -183,9 +175,7 @@ fn budget(backend: Backend, sweep: SweepMode) -> GraderConfig {
         },
         backend,
         ..GraderConfig::fast()
-    };
-    config.equivalence.sweep = sweep;
-    config
+    }
 }
 
 /// What the library path says a submission grades to: the `"outcome"` tag
@@ -313,7 +303,7 @@ fn run_classroom_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
         seed: options.seed,
     };
     let cohort = classroom_cohort(problem, &spec);
-    let grader = problem.autograder(budget(options.backend, options.sweep));
+    let grader = problem.autograder(budget(options.backend));
 
     eprintln!(
         "classroom: problem {} — {} students over {} skeletons, seed {}, {} workers",
@@ -436,7 +426,6 @@ fn run_concurrency_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
         ("id", Json::str(&problem_id)),
         ("cache", Json::Bool(true)),
         ("backend", Json::str(options.backend.name())),
-        ("sweep", Json::str(options.sweep.name())),
         ("max_cost", Json::Int(2)),
         ("max_candidates", Json::Int(300)),
         ("time_budget_ms", Json::Int(600_000)),
@@ -560,7 +549,7 @@ fn main() {
     let distinct_graded: std::collections::HashSet<usize> = schedule.iter().copied().collect();
 
     // Library-path ground truth, graded serially with the same budget.
-    let grader = problem.autograder(budget(options.backend, options.sweep));
+    let grader = problem.autograder(budget(options.backend));
     println!(
         "loadgen: problem {} — {} distinct submissions ({} reached by the schedule), \
          {} requests, {} connections, seed {}",
@@ -593,7 +582,6 @@ fn main() {
             ("id", Json::str(id)),
             ("cache", Json::Bool(cache)),
             ("backend", Json::str(options.backend.name())),
-            ("sweep", Json::str(options.sweep.name())),
             ("max_cost", Json::Int(2)),
             ("max_candidates", Json::Int(300)),
             ("time_budget_ms", Json::Int(600_000)),

@@ -3,7 +3,7 @@
 //! generated feedback, and average/median grading time.
 //!
 //! ```text
-//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum|portfolio] [--sweep tree|compiled]
+//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum|portfolio]
 //! ```
 //!
 //! With `--json` the table is emitted as a single JSON document (via
@@ -12,10 +12,8 @@
 //! (`sat_conflicts`/`sat_learnts`/…), per-row winning-strategy counts
 //! (`winners`, interesting under `--backend portfolio`) and an aggregate
 //! `solver` object.  `--backend` selects the search engine, so backend
-//! speedups are *measured* on the same corpus rather than asserted, and
-//! `--sweep` selects the verification back end (tree walker vs compiled
-//! bytecode VM) the same way — the aggregate `sweep_ns_per_input` is the
-//! A/B metric.
+//! speedups are *measured* on the same corpus rather than asserted; the
+//! aggregate `sweep_ns_per_input` reports verification throughput.
 //!
 //! The corpora are synthetic (see DESIGN.md); absolute counts therefore
 //! differ from the paper, but the shape — a majority of incorrect attempts
@@ -52,10 +50,9 @@ fn main() {
     if !options.json {
         println!("Table 1: attempts corrected and grading time per benchmark");
         println!(
-            "(synthetic corpus: {attempts} attempts per benchmark, seed {seed}, {} workers, {} backend, {} sweeps)",
+            "(synthetic corpus: {attempts} attempts per benchmark, seed {seed}, {} workers, {} backend)",
             engine.workers(),
-            options.backend.name(),
-            options.sweep.name()
+            options.backend.name()
         );
         println!();
         println!("{}", Table1Row::header());
@@ -133,7 +130,6 @@ fn main() {
             ("seed", seed.to_json()),
             ("workers", engine.workers().to_json()),
             ("backend", Json::str(options.backend.name())),
-            ("sweep", Json::str(options.sweep.name())),
             ("rows", rows.to_json()),
             ("solver", solver),
             (
@@ -152,14 +148,13 @@ fn main() {
             "Overall: {total_fixed}/{total_incorrect} incorrect attempts repaired ({overall:.1}%); the paper reports 64%."
         );
         println!(
-            "Verification: {} sweeps, {} candidate executions, {:.0} ns/input ({} sweeps)",
+            "Verification: {} sweeps, {} candidate executions, {:.0} ns/input",
             solver.get("sweeps").and_then(Json::as_i64).unwrap_or(0),
             solver
                 .get("sweep_inputs")
                 .and_then(Json::as_i64)
                 .unwrap_or(0),
-            sweep_ns_per_input(&rows),
-            options.sweep.name()
+            sweep_ns_per_input(&rows)
         );
         println!(
             "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {} timeouts ({} backend)",

@@ -17,7 +17,7 @@ pub mod classroom;
 use std::fmt;
 use std::time::Duration;
 
-use afg_core::{BatchGrader, BatchReport, GradeOutcome, GraderConfig, SweepMode};
+use afg_core::{BatchGrader, BatchReport, GradeOutcome, GraderConfig};
 use afg_corpus::{generate_corpus, CorpusSpec, Problem};
 use afg_eml::ErrorModel;
 use afg_synth::{Backend, SynthesisStats};
@@ -487,9 +487,6 @@ pub struct CliOptions {
     pub json: bool,
     /// Which synthesis back end grades the corpus.
     pub backend: Backend,
-    /// How verification sweeps run candidates: on the compiled bytecode VM
-    /// (default) or the tree-walking interpreter (the A/B baseline).
-    pub sweep: SweepMode,
     /// Candidate-budget override (`None` = the binary's default config).
     pub max_candidates: Option<usize>,
     /// Wall-clock budget override in milliseconds.
@@ -514,10 +511,9 @@ impl CliOptions {
         }
     }
 
-    /// Applies the backend, sweep mode and any budget overrides to `config`.
+    /// Applies the backend and any budget overrides to `config`.
     pub fn apply_to(&self, config: &mut GraderConfig) {
         config.backend = self.backend;
-        config.equivalence.sweep = self.sweep;
         if let Some(max_candidates) = self.max_candidates {
             config.synthesis.max_candidates = max_candidates;
         }
@@ -569,7 +565,7 @@ impl std::error::Error for CliError {}
 /// The usage string shared by the experiment binaries.
 pub fn usage() -> String {
     "usage: <binary> [--attempts N] [--seed N] [--workers N] [--json]\n\
-     \x20              [--backend cegis|enum|portfolio] [--sweep compiled|tree]\n\
+     \x20              [--backend cegis|enum|portfolio]\n\
      \x20              [--max-candidates N] [--time-budget-ms N]\n\
      \n\
      --attempts N   submissions generated per benchmark\n\
@@ -578,8 +574,6 @@ pub fn usage() -> String {
      --json         emit machine-readable JSON (table1)\n\
      --backend B    synthesis back end: cegis (default), enum, or portfolio\n\
      \x20              (portfolio races the other two and keeps the first proof)\n\
-     --sweep M      verification sweeps: compiled (default, bytecode VM) or\n\
-     \x20              tree (interpreter baseline; outcomes are identical)\n\
      --max-candidates N   per-submission candidate budget override\n\
      --time-budget-ms N   per-submission wall-clock budget override"
         .to_string()
@@ -603,7 +597,6 @@ pub fn parse_cli_options(args: &[String], default_attempts: usize) -> Result<Cli
         workers: 0,
         json: false,
         backend: Backend::Cegis,
-        sweep: SweepMode::default(),
         max_candidates: None,
         time_budget_ms: None,
     };
@@ -634,16 +627,6 @@ pub fn parse_cli_options(args: &[String], default_attempts: usize) -> Result<Cli
                 options.backend = Backend::parse(value).ok_or_else(|| {
                     CliError::new(format!(
                         "option '--backend' expects cegis, enum or portfolio, got '{value}'"
-                    ))
-                })?;
-            }
-            "--sweep" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::new("option '--sweep' requires a value".into()))?;
-                options.sweep = SweepMode::parse(value).ok_or_else(|| {
-                    CliError::new(format!(
-                        "option '--sweep' expects compiled or tree, got '{value}'"
                     ))
                 })?;
             }
@@ -895,21 +878,6 @@ mod tests {
             Backend::Portfolio
         );
 
-        // Sweep mode: compiled by default, tree as the A/B baseline, typos
-        // rejected.
-        assert_eq!(
-            parse_cli_options(&[], 40).unwrap().sweep,
-            SweepMode::Compiled
-        );
-        let tree: Vec<String> = vec!["--sweep".into(), "tree".into()];
-        let options = parse_cli_options(&tree, 40).unwrap();
-        assert_eq!(options.sweep, SweepMode::Tree);
-        let mut config = experiment_config();
-        options.apply_to(&mut config);
-        assert_eq!(config.equivalence.sweep, SweepMode::Tree);
-        let bad_sweep: Vec<String> = vec!["--sweep".into(), "jit".into()];
-        let err = parse_cli_options(&bad_sweep, 40).unwrap_err();
-        assert!(err.to_string().contains("compiled or tree"));
         let bad: Vec<String> = vec!["--backend".into(), "sketch".into()];
         let err = parse_cli_options(&bad, 40).unwrap_err();
         assert!(err.to_string().contains("cegis, enum or portfolio"));

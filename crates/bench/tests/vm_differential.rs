@@ -6,15 +6,15 @@
 //! `i64::MIN // -1`, sequence-repetition bounds).  A separate test pins
 //! fuel-exhaustion parity across whole budget ranges, and another checks
 //! that the sweep verdict cache never changes a `find_counterexample`
-//! answer (cache on ≡ cache off ≡ tree walker, including repeated
-//! queries that exercise the hit path).
+//! answer (the cached session ≡ the concretized candidate on the tree
+//! walker, including repeated queries that exercise the hit path).
 
 use afg_corpus::rng::StdRng;
 use afg_corpus::{mutate_program, problems};
 use afg_eml::{apply_error_model, ChoiceAssignment};
 use afg_interp::{
     CompiledProgram, EquivalenceConfig, EquivalenceOracle, ExecLimits, Interpreter, RuntimeError,
-    SweepMode, Value, Vm,
+    Value, Vm,
 };
 
 /// Runs `program` on `args` under both back ends and asserts result,
@@ -199,29 +199,21 @@ fn fuel_exhaustion_parity_across_budgets_on_corpus_references() {
 
 /// The sweep verdict cache is an observational-equivalence memoization —
 /// it must never change an answer.  For seeded buggy choice programs this
-/// sweeps a candidate set through three sessions (tree, compiled without
-/// cache, compiled with cache) and requires identical counterexamples —
-/// querying the cached session twice so the second pass answers from the
-/// trie.
+/// sweeps a candidate set through a session and requires the same
+/// counterexample as the concretized candidate on the tree walker —
+/// querying the session twice so the second pass answers from the trie.
 #[test]
 fn verdict_cache_never_changes_a_sweep_answer() {
     for problem in problems::all_problems() {
         let reference = afg_parser::parse_program(problem.reference).expect("references parse");
-        let oracle_with = |mode: SweepMode, cache: bool| {
-            EquivalenceOracle::from_reference(
-                &reference,
-                EquivalenceConfig {
-                    entry: Some(problem.entry.to_string()),
-                    limits: ExecLimits::fast(),
-                    sweep: mode,
-                    sweep_cache: cache,
-                    ..EquivalenceConfig::default()
-                },
-            )
-        };
-        let tree_oracle = oracle_with(SweepMode::Tree, false);
-        let raw_oracle = oracle_with(SweepMode::Compiled, false);
-        let cached_oracle = oracle_with(SweepMode::Compiled, true);
+        let oracle = EquivalenceOracle::from_reference(
+            &reference,
+            EquivalenceConfig {
+                entry: Some(problem.entry.to_string()),
+                limits: ExecLimits::fast(),
+                ..EquivalenceConfig::default()
+            },
+        );
 
         for m in 0..2usize {
             let seeds = problem.mutation_seeds();
@@ -251,15 +243,11 @@ fn verdict_cache_never_changes_a_sweep_answer() {
                 assignments.push(pair);
             }
 
-            let tree_session = tree_oracle.choice_session(&choice_program);
-            let raw_session = raw_oracle.choice_session(&choice_program);
-            let cached_session = cached_oracle.choice_session(&choice_program);
+            let cached_session = oracle.choice_session(&choice_program);
             for (a, assignment) in assignments.iter().enumerate() {
-                let want = tree_session.find_counterexample(assignment, &[]);
-                let raw = raw_session.find_counterexample(assignment, &[]);
+                let want = oracle.find_counterexample(&choice_program.concretize(assignment));
                 let first = cached_session.find_counterexample(assignment, &[]);
                 let second = cached_session.find_counterexample(assignment, &[]);
-                assert_eq!(want, raw, "{} mutant {m} assignment {a} (raw)", problem.id);
                 assert_eq!(
                     want, first,
                     "{} mutant {m} assignment {a} (cold)",

@@ -68,5 +68,5 @@ pub use grader::{
 // Re-export the pieces callers need to configure a grader without adding
 // direct dependencies on every sub-crate.
 pub use afg_eml::{ErrorModel, Rule};
-pub use afg_interp::{EquivalenceConfig, ExecLimits, InputSpace, SweepMode};
+pub use afg_interp::{EquivalenceConfig, ExecLimits, InputSpace};
 pub use afg_synth::{Backend, CancelToken, SearchStrategy, SynthesisConfig};

@@ -18,16 +18,16 @@
 //! Fuel parity is by construction: a one-unit [`Instr::Charge`] is emitted
 //! at exactly the points where [`crate::interp::Interpreter`] calls
 //! `charge(1)` (statement entry, expression-node entry, loop iterations),
-//! and choice constructs charge nothing, exactly like
-//! [`crate::choice_eval`].  The `properties` integration test enforces
+//! and choice constructs charge nothing, since they disappear when a
+//! candidate is concretized.  The `properties` integration test enforces
 //! result + output + fuel agreement differentially.
 //!
 //! Programs using a construct the compiler does not support (currently:
 //! mutating method calls whose receiver is an index expression or is
 //! itself choice-bearing, where the tree walker re-evaluates the write-back
-//! target) fail to compile; callers fall back to the tree walker, which
-//! remains the semantic ground truth and the cold path for feedback
-//! rendering.
+//! target) fail to compile; callers fall back to concretizing the
+//! candidate and running the tree walker, which remains the semantic
+//! ground truth.
 
 use std::collections::HashMap;
 
@@ -2261,6 +2261,42 @@ def f(x):
         assert_same(source, "f", &[Value::Int(0)]);
     }
 
+    /// Runs the compiled choice program under `assignment` and asserts it
+    /// observes exactly what the concretized candidate does on the tree
+    /// walker (value, output, or error kind).
+    fn assert_choice_agrees(
+        program: &ChoiceProgram,
+        assignment: &ChoiceAssignment,
+        args: &[Value],
+        limits: ExecLimits,
+    ) -> Result<Outcome, RuntimeError> {
+        let compiled = CompiledProgram::from_choice(program).expect("compiles");
+        let mut vm = Vm::new(limits);
+        vm.select(&compiled, assignment);
+        let direct = vm.run(&compiled, args);
+        let concrete = program.concretize(assignment);
+        let tree = run_function(&concrete, Some(&program.func.name), args, limits);
+        match (&direct, &tree) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "outcomes differ for {assignment:?}"),
+            (Err(a), Err(b)) => assert_eq!(a, b, "errors differ for {assignment:?}"),
+            _ => panic!("engines disagree for {assignment:?}: {direct:?} vs {tree:?}"),
+        }
+        direct
+    }
+
+    fn figure_2a_choices() -> ChoiceProgram {
+        let student = parse_program(
+            "def computeDeriv(poly):\n    deriv = []\n    zero = 0\n    if (len(poly) == 1):\n        return deriv\n    for e in range(0, len(poly)):\n        if (poly[e] == 0):\n            zero += 1\n        else:\n            deriv.append(poly[e]*e)\n    return deriv\n",
+        )
+        .unwrap();
+        afg_eml::apply_error_model(
+            &student,
+            Some("computeDeriv"),
+            &afg_eml::library::compute_deriv_model(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn compiled_choice_program_dispatches_on_selection() {
         use afg_eml::{apply_error_model, library, ErrorModel};
@@ -2274,11 +2310,9 @@ def f(x):
         let cp = apply_error_model(&student, Some("iterPower"), &model).unwrap();
         let compiled = CompiledProgram::from_choice(&cp).expect("compiles");
         assert!(compiled.site_count() > 0);
-        let mut vm = Vm::new(ExecLimits::fast());
-        let evaluator = crate::choice_eval::ChoiceEvaluator::new(&cp, ExecLimits::fast());
         let args = [Value::Int(3), Value::Int(2)];
-        // Sweep every single-site selection and compare with the tree
-        // walker on result and output.
+        // Sweep every single-site selection and compare with the
+        // concretized candidate on the tree walker, on result and output.
         let mut assignments = vec![ChoiceAssignment::default_choices()];
         for info in &cp.choices {
             for option in 0..info.options.len() + 1 {
@@ -2286,14 +2320,151 @@ def f(x):
             }
         }
         for assignment in &assignments {
-            vm.select(&compiled, assignment);
-            let direct = vm.run(&compiled, &args);
-            let tree = evaluator.run(assignment, &args);
-            match (&direct, &tree) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{assignment:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "{assignment:?}"),
-                _ => panic!("{assignment:?}: {direct:?} vs {tree:?}"),
+            let _ = assert_choice_agrees(&cp, assignment, &args, ExecLimits::fast());
+        }
+    }
+
+    #[test]
+    fn all_single_selections_agree_with_concretisation() {
+        let cp = figure_2a_choices();
+        let inputs = [
+            vec![Value::int_list([2, -3, 1, 4])],
+            vec![Value::int_list([7])],
+            vec![Value::List(vec![])],
+        ];
+        for args in &inputs {
+            let _ = assert_choice_agrees(
+                &cp,
+                &ChoiceAssignment::default_choices(),
+                args,
+                ExecLimits::fast(),
+            );
+            for info in &cp.choices {
+                for option in 1..info.options.len() {
+                    let assignment = ChoiceAssignment::from_pairs([(info.id, option)]);
+                    let _ = assert_choice_agrees(&cp, &assignment, args, ExecLimits::fast());
+                }
             }
         }
+    }
+
+    #[test]
+    fn recursive_entry_calls_reenter_the_choice_function() {
+        use afg_eml::{apply_error_model, library, ErrorModel};
+        // recurPower calls itself; the recursive call must see the same
+        // choice assignment, not the original program.
+        let student = parse_program(
+            "def recurPower(base, exp):\n    acc = 0\n    if exp == 0:\n        return acc\n    return base * recurPower(base, exp - 1)\n",
+        )
+        .unwrap();
+        let model = ErrorModel::new("m").with_rule(library::initr());
+        let cp = apply_error_model(&student, Some("recurPower"), &model).unwrap();
+        // Find the option replacing the erroneous initialiser `acc = 0`.
+        let fix = cp
+            .choices
+            .iter()
+            .find_map(|info| {
+                info.options
+                    .iter()
+                    .position(|o| o == "1")
+                    .map(|option| (info.id, option))
+            })
+            .expect("INITR offers constant 1 somewhere");
+        let args = [Value::Int(3), Value::Int(2)];
+        let limits = ExecLimits::fast();
+        let broken =
+            assert_choice_agrees(&cp, &ChoiceAssignment::default_choices(), &args, limits).unwrap();
+        assert_eq!(broken.value, Value::Int(0), "default keeps the bug");
+        let fixed =
+            assert_choice_agrees(&cp, &ChoiceAssignment::from_pairs([fix]), &args, limits).unwrap();
+        assert_eq!(
+            fixed.value,
+            Value::Int(9),
+            "the recursive call sees the fixed base case"
+        );
+    }
+
+    #[test]
+    fn helper_functions_are_callable_from_the_choice_entry() {
+        use afg_eml::{apply_error_model, library, ErrorModel};
+        let student = parse_program(
+            "def helper(x):\n    return x * 2\ndef f(n):\n    return helper(n) + 0\n",
+        )
+        .unwrap();
+        let model = ErrorModel::new("m").with_rule(library::const_tweak());
+        let cp = apply_error_model(&student, Some("f"), &model).unwrap();
+        let out = assert_choice_agrees(
+            &cp,
+            &ChoiceAssignment::default_choices(),
+            &[Value::Int(5)],
+            ExecLimits::fast(),
+        )
+        .unwrap();
+        assert_eq!(out.value, Value::Int(10));
+        for info in &cp.choices {
+            for option in 1..info.options.len() {
+                let _ = assert_choice_agrees(
+                    &cp,
+                    &ChoiceAssignment::from_pairs([(info.id, option)]),
+                    &[Value::Int(5)],
+                    ExecLimits::fast(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mutating_method_calls_write_back_through_choices() {
+        use afg_eml::{apply_error_model, ErrorModel};
+        // poly.pop(0) mutates the receiver; the write-back must hit the
+        // same variable in a compiled choice program.
+        let student = parse_program("def f(poly):\n    poly.pop(0)\n    return poly\n").unwrap();
+        let cp = apply_error_model(&student, Some("f"), &ErrorModel::new("empty")).unwrap();
+        let out = assert_choice_agrees(
+            &cp,
+            &ChoiceAssignment::default_choices(),
+            &[Value::int_list([1, 2, 3])],
+            ExecLimits::fast(),
+        )
+        .unwrap();
+        assert_eq!(out.value, Value::int_list([2, 3]));
+    }
+
+    #[test]
+    fn fuel_accounting_matches_the_concrete_interpreter_exactly() {
+        // Probe every fuel budget around the program's exact cost: at each
+        // budget the VM and the concretized candidate must agree on whether
+        // fuel runs out, and on the outcome when it does not.
+        let cp = figure_2a_choices();
+        let assignment = ChoiceAssignment::from_pairs(
+            cp.choices
+                .first()
+                .map(|info| (info.id, 1))
+                .into_iter()
+                .collect::<Vec<_>>(),
+        );
+        let args = [Value::int_list([2, -3, 1, 4])];
+        for fuel in 1..200u64 {
+            let limits = ExecLimits {
+                fuel,
+                max_recursion: 32,
+            };
+            let _ = assert_choice_agrees(&cp, &assignment, &args, limits);
+        }
+    }
+
+    #[test]
+    fn choice_id_out_of_range_clamps_like_concretize() {
+        let cp = figure_2a_choices();
+        let args = [Value::int_list([1, 2])];
+        // Selecting an absurd option index clamps to the last option, the
+        // same as `concretize`.
+        if let Some(info) = cp.choices.first() {
+            let assignment = ChoiceAssignment::from_pairs([(info.id, 99)]);
+            let _ = assert_choice_agrees(&cp, &assignment, &args, ExecLimits::fast());
+        }
+        // Selecting an unknown choice id is ignored by both paths.
+        let assignment = ChoiceAssignment::from_pairs([(ChoiceId(9999), 1)]);
+        let _ = assert_choice_agrees(&cp, &assignment, &args, ExecLimits::fast());
     }
 }

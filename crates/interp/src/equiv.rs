@@ -14,7 +14,6 @@ use afg_ast::Program;
 use afg_eml::{ChoiceAssignment, ChoiceProgram};
 
 use crate::bytecode::{CompiledProgram, TraceStep, Vm};
-use crate::choice_eval::ChoiceEvaluator;
 use crate::error::RuntimeError;
 use crate::inputs::InputSpace;
 use crate::interp::{run_function, ExecLimits, Outcome};
@@ -68,38 +67,6 @@ impl ExecResult {
     }
 }
 
-/// How candidate programs are executed during verification sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SweepMode {
-    /// Walk the shared (choice) AST per input — the original evaluator and
-    /// the semantic ground truth.
-    Tree,
-    /// Lower the candidate space to bytecode once and run the deck through
-    /// the [`Vm`] (behaviour- and fuel-identical; programs the compiler
-    /// cannot lower silently fall back to the tree walker).
-    #[default]
-    Compiled,
-}
-
-impl SweepMode {
-    /// Parses `"tree"` / `"compiled"` (CLI A/B flags).
-    pub fn parse(text: &str) -> Option<SweepMode> {
-        match text {
-            "tree" => Some(SweepMode::Tree),
-            "compiled" => Some(SweepMode::Compiled),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (`"tree"` / `"compiled"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepMode::Tree => "tree",
-            SweepMode::Compiled => "compiled",
-        }
-    }
-}
-
 /// Configuration of the equivalence check.
 #[derive(Debug, Clone)]
 pub struct EquivalenceConfig {
@@ -112,13 +79,6 @@ pub struct EquivalenceConfig {
     /// Whether printed output is part of the observable behaviour
     /// (only the stdin/print style problems set this).
     pub compare_output: bool,
-    /// Execution back end for verification sweeps.
-    pub sweep: SweepMode,
-    /// Whether compiled sweeps may memoize check verdicts on the choice
-    /// sites a run actually consults (sound observational-equivalence
-    /// caching over consultation traces).  On by default; benchmarks that
-    /// want to time raw execution turn it off.
-    pub sweep_cache: bool,
 }
 
 impl Default for EquivalenceConfig {
@@ -128,8 +88,6 @@ impl Default for EquivalenceConfig {
             limits: ExecLimits::fast(),
             entry: None,
             compare_output: false,
-            sweep: SweepMode::default(),
-            sweep_cache: true,
         }
     }
 }
@@ -156,14 +114,9 @@ impl EquivalenceOracle {
     ) -> EquivalenceOracle {
         let inputs = config.space.enumerate_args(param_types);
         // Reference pre-pass: compile once and run the whole deck through
-        // the VM when the sweep mode allows it (behaviour-identical to the
-        // tree walker; the differential suite enforces this).
-        let compiled = match config.sweep {
-            SweepMode::Compiled => {
-                CompiledProgram::from_program(reference, config.entry.as_deref())
-            }
-            SweepMode::Tree => None,
-        };
+        // the VM (behaviour-identical to the tree walker; the differential
+        // suite enforces this), walking the tree only if lowering fails.
+        let compiled = CompiledProgram::from_program(reference, config.entry.as_deref());
         let reference_results = match &compiled {
             Some(compiled) => {
                 let mut vm = Vm::new(config.limits);
@@ -244,29 +197,19 @@ impl EquivalenceOracle {
         indices.iter().all(|&i| self.check_input(candidate, i))
     }
 
-    /// Opens a choice-aware verification session for one candidate space.
+    /// Opens a verification session for one candidate space.
     ///
-    /// The session evaluates candidates by walking the shared choice AST
-    /// under a [`ChoiceAssignment`] — no per-candidate program is ever
-    /// materialised.  This is the oracle API the synthesis back ends use in
-    /// their hot loop; [`ChoiceProgram::concretize`] remains the cold path
-    /// for rendering the final repaired program.
+    /// The session lowers the choice program to bytecode once and evaluates
+    /// each candidate by loading its [`ChoiceAssignment`] into the VM — no
+    /// per-candidate program is materialised.  This is the oracle API the
+    /// synthesis back ends use in their hot loop.
     pub fn choice_session<'a>(&'a self, program: &'a ChoiceProgram) -> ChoiceSession<'a> {
-        let compiled = match self.config.sweep {
-            SweepMode::Compiled => CompiledProgram::from_choice(program),
-            SweepMode::Tree => None,
-        };
         ChoiceSession {
             oracle: self,
-            evaluator: ChoiceEvaluator::new(program, self.config.limits),
-            compiled,
+            program,
+            compiled: CompiledProgram::from_choice(program),
             scratch: RefCell::new(SweepScratch::new(self.config.limits)),
         }
-    }
-
-    /// The configured sweep mode.
-    pub fn sweep_mode(&self) -> SweepMode {
-        self.config.sweep
     }
 }
 
@@ -279,13 +222,13 @@ pub struct SweepStats {
     /// whether executed or answered from the verdict cache.
     pub inputs_run: u64,
     /// Checks answered from the verdict cache without executing (always 0
-    /// on the tree path or with `sweep_cache` off).
+    /// on the fallback path).
     pub cache_hits: u64,
     /// Whether the session ran candidates on the bytecode VM (false when
-    /// the mode is [`SweepMode::Tree`] or the program failed to compile).
+    /// the program used a construct the compiler cannot lower).
     pub compiled: bool,
     /// Nodes currently held by the session's verdict-cache trie (0 on the
-    /// tree path or with `sweep_cache` off).
+    /// fallback path).
     pub cache_nodes: u64,
 }
 
@@ -459,6 +402,9 @@ enum Link {
 #[derive(Debug, Clone)]
 struct SweepScratch {
     vm: Vm,
+    /// The concretized candidate of the last `prepare`, on the fallback
+    /// path for programs the compiler cannot lower.
+    candidate: Option<Program>,
     /// `marks[i] == generation` ⇔ input `i` was already checked during the
     /// current sweep.  Bumping the generation invalidates every mark at
     /// once, so the buffer never needs clearing.
@@ -477,6 +423,7 @@ impl SweepScratch {
     fn new(limits: ExecLimits) -> SweepScratch {
         SweepScratch {
             vm: Vm::new(limits),
+            candidate: None,
             marks: Vec::new(),
             generation: 0,
             cache: VerdictCache::default(),
@@ -515,16 +462,16 @@ impl SweepScratch {
 /// A verification session over one candidate space (one transformed
 /// submission), bound to the oracle's cached reference results.
 ///
-/// Under [`SweepMode::Compiled`] the choice program is lowered to bytecode
-/// once at session open; every candidate evaluation afterwards loads the
-/// assignment into the VM's selection array and sweeps the input deck
-/// through one reusable scratch arena.  The tree-walking
-/// [`ChoiceEvaluator`] remains both the fallback (for programs the
-/// compiler cannot lower) and the A/B baseline.
+/// The choice program is lowered to bytecode once at session open; every
+/// candidate evaluation afterwards loads the assignment into the VM's
+/// selection array and sweeps the input deck through one reusable scratch
+/// arena.  For the rare program the compiler cannot lower, the session
+/// falls back to the reference semantics: it concretizes each candidate
+/// once and runs the deck through the tree walker ([`run_function`]).
 #[derive(Debug)]
 pub struct ChoiceSession<'a> {
     oracle: &'a EquivalenceOracle,
-    evaluator: ChoiceEvaluator<'a>,
+    program: &'a ChoiceProgram,
     compiled: Option<CompiledProgram>,
     scratch: RefCell<SweepScratch>,
 }
@@ -533,12 +480,6 @@ impl<'a> ChoiceSession<'a> {
     /// The underlying oracle.
     pub fn oracle(&self) -> &'a EquivalenceOracle {
         self.oracle
-    }
-
-    /// Whether candidates run on the bytecode VM (as opposed to the
-    /// tree-walking fallback).
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// The verification-work counters accumulated so far.
@@ -553,26 +494,27 @@ impl<'a> ChoiceSession<'a> {
         }
     }
 
-    /// Loads `assignment` into the VM selection array (no-op on the tree
-    /// path, where the evaluator consults the assignment directly).
+    /// Loads `assignment` into the VM selection array, or on the fallback
+    /// path concretizes the candidate once for the runs that follow.
     fn prepare(&self, scratch: &mut SweepScratch, assignment: &ChoiceAssignment) {
-        if let Some(compiled) = &self.compiled {
-            scratch.vm.select(compiled, assignment);
+        match &self.compiled {
+            Some(compiled) => scratch.vm.select(compiled, assignment),
+            None => scratch.candidate = Some(self.program.concretize(assignment)),
         }
     }
 
     /// Runs the prepared candidate on one input.  `prepare` must have been
-    /// called with the same assignment first.
-    fn run_prepared(
-        &self,
-        scratch: &mut SweepScratch,
-        assignment: &ChoiceAssignment,
-        index: usize,
-    ) -> ExecResult {
+    /// called first.
+    fn run_prepared(&self, scratch: &mut SweepScratch, index: usize) -> ExecResult {
         scratch.inputs_run += 1;
+        let args = &self.oracle.inputs[index];
         let result = match &self.compiled {
-            Some(compiled) => scratch.vm.run(compiled, &self.oracle.inputs[index]),
-            None => self.evaluator.run(assignment, &self.oracle.inputs[index]),
+            Some(compiled) => scratch.vm.run(compiled, args),
+            None => {
+                let candidate = scratch.candidate.as_ref().expect("prepared candidate");
+                let entry = Some(self.program.func.name.as_str());
+                run_function(candidate, entry, args, self.oracle.config.limits)
+            }
         };
         match result {
             Ok(outcome) => ExecResult::Ok(outcome),
@@ -580,24 +522,16 @@ impl<'a> ChoiceSession<'a> {
         }
     }
 
-    fn check_prepared(
-        &self,
-        scratch: &mut SweepScratch,
-        assignment: &ChoiceAssignment,
-        index: usize,
-    ) -> bool {
+    fn check_prepared(&self, scratch: &mut SweepScratch, index: usize) -> bool {
         // The compiled path checks in place: the outcome stays inside the
         // VM scratch (no output-vector move, no `ExecResult` built), which
         // matters in the CEGIS mix where most sweeps die after a handful
         // of runs.  Matching semantics are identical to `matches`.
         if let Some(compiled) = &self.compiled {
             scratch.inputs_run += 1;
-            let cached = self.oracle.config.sweep_cache;
-            if cached {
-                if let Some(verdict) = scratch.cache.lookup(index, scratch.vm.selection()) {
-                    scratch.cache_hits += 1;
-                    return verdict;
-                }
+            if let Some(verdict) = scratch.cache.lookup(index, scratch.vm.selection()) {
+                scratch.cache_hits += 1;
+                return verdict;
             }
             let run = scratch
                 .vm
@@ -611,12 +545,10 @@ impl<'a> ChoiceSession<'a> {
                     .outcome_matches(reference, self.oracle.config.compare_output),
                 (Err(_), ExecResult::Ok(_)) => false,
             };
-            if cached {
-                scratch.cache.insert(index, scratch.vm.trace(), verdict);
-            }
+            scratch.cache.insert(index, scratch.vm.trace(), verdict);
             return verdict;
         }
-        self.run_prepared(scratch, assignment, index).matches(
+        self.run_prepared(scratch, index).matches(
             &self.oracle.reference_results[index],
             self.oracle.config.compare_output,
         )
@@ -627,14 +559,14 @@ impl<'a> ChoiceSession<'a> {
     pub fn observe(&self, assignment: &ChoiceAssignment, index: usize) -> ExecResult {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        self.run_prepared(scratch, assignment, index)
+        self.run_prepared(scratch, index)
     }
 
     /// Checks the candidate on a single input, by index.
     pub fn check_input(&self, assignment: &ChoiceAssignment, index: usize) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        self.check_prepared(scratch, assignment, index)
+        self.check_prepared(scratch, index)
     }
 
     /// Runs the candidate on an explicit list of input indices (the CEGIS
@@ -642,9 +574,7 @@ impl<'a> ChoiceSession<'a> {
     pub fn agrees_on(&self, assignment: &ChoiceAssignment, indices: &[usize]) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
         self.prepare(scratch, assignment);
-        indices
-            .iter()
-            .all(|&i| self.check_prepared(scratch, assignment, i))
+        indices.iter().all(|&i| self.check_prepared(scratch, i))
     }
 
     /// Finds the first input on which the candidate disagrees with the
@@ -679,13 +609,13 @@ impl<'a> ChoiceSession<'a> {
         scratch.sweeps += 1;
         self.prepare(scratch, assignment);
         for &index in priority {
-            if !self.check_prepared(scratch, assignment, index) {
+            if !self.check_prepared(scratch, index) {
                 return Some(index);
             }
         }
         let total = self.oracle.inputs.len();
         if priority.is_empty() {
-            return (0..total).find(|&i| !self.check_prepared(scratch, assignment, i));
+            return (0..total).find(|&i| !self.check_prepared(scratch, i));
         }
         // Mark the already-checked indices once instead of scanning the
         // priority list per input — with warm starts pre-seeding whole
@@ -698,7 +628,7 @@ impl<'a> ChoiceSession<'a> {
                 scratch.mark(index);
             }
         }
-        (0..total).find(|&i| !scratch.is_marked(i) && !self.check_prepared(scratch, assignment, i))
+        (0..total).find(|&i| !scratch.is_marked(i) && !self.check_prepared(scratch, i))
     }
 
     /// Deck-batched sweep: evaluates the candidate across the entire

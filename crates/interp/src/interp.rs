@@ -64,43 +64,26 @@ pub struct Outcome {
 }
 
 /// Control-flow signal produced by executing a statement.
-pub(crate) enum Flow {
+enum Flow {
     Normal,
     Return(Value),
     Break,
     Continue,
 }
 
-/// A local frame.  Keyed by shared `Arc<str>` so hot binding sites (entry
-/// parameters, loop variables) clone a pointer instead of the name's bytes;
-/// `Arc` rather than `Rc` because [`crate::ChoiceEvaluator`] shares its
-/// pre-resolved parameter keys across grading threads.
-pub(crate) type Frame = HashMap<Arc<str>, Value>;
-
-/// The choice context of an interpreter evaluating an M̃PY program directly:
-/// the choice-bearing entry function plus the option selection to apply at
-/// every choice site.  See [`crate::choice_eval`].
-pub(crate) struct ChoiceCtx<'p> {
-    pub(crate) func: &'p afg_eml::CFuncDef,
-    pub(crate) assignment: &'p afg_eml::ChoiceAssignment,
-    /// Parameter names of `func`, interned once per evaluator so binding
-    /// arguments on every candidate run allocates nothing.
-    pub(crate) param_keys: &'p [Arc<str>],
-}
+/// A local frame.  Keyed by shared `Arc<str>` so hot binding sites (loop
+/// variables) clone a pointer instead of the name's bytes.
+type Frame = HashMap<Arc<str>, Value>;
 
 /// An interpreter instance bound to one program.
 pub struct Interpreter<'p> {
-    pub(crate) program: &'p Program,
-    pub(crate) limits: ExecLimits,
-    pub(crate) fuel: u64,
-    pub(crate) depth: u32,
-    pub(crate) output: Vec<String>,
-    pub(crate) stdin: Vec<Value>,
-    pub(crate) stdin_pos: usize,
-    /// When set, calls to `choice.func.name` re-enter the choice-bearing
-    /// entry function instead of looking it up in `program` (which then only
-    /// holds the student's helper functions).
-    pub(crate) choice: Option<ChoiceCtx<'p>>,
+    program: &'p Program,
+    limits: ExecLimits,
+    fuel: u64,
+    depth: u32,
+    output: Vec<String>,
+    stdin: Vec<Value>,
+    stdin_pos: usize,
 }
 
 impl<'p> Interpreter<'p> {
@@ -119,7 +102,6 @@ impl<'p> Interpreter<'p> {
             output: Vec::new(),
             stdin: Vec::new(),
             stdin_pos: 0,
-            choice: None,
         }
     }
 
@@ -185,7 +167,7 @@ impl<'p> Interpreter<'p> {
         self.limits.fuel - self.fuel
     }
 
-    pub(crate) fn charge(&mut self, amount: u64) -> Result<(), RuntimeError> {
+    fn charge(&mut self, amount: u64) -> Result<(), RuntimeError> {
         if self.fuel < amount {
             return Err(RuntimeError::FuelExhausted);
         }
@@ -193,11 +175,7 @@ impl<'p> Interpreter<'p> {
         Ok(())
     }
 
-    pub(crate) fn call_func(
-        &mut self,
-        func: &FuncDef,
-        args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    fn call_func(&mut self, func: &FuncDef, args: Vec<Value>) -> Result<Value, RuntimeError> {
         if self.depth >= self.limits.max_recursion {
             return Err(RuntimeError::RecursionLimit);
         }
@@ -222,11 +200,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    pub(crate) fn exec_block(
-        &mut self,
-        stmts: &[Stmt],
-        frame: &mut Frame,
-    ) -> Result<Flow, RuntimeError> {
+    fn exec_block(&mut self, stmts: &[Stmt], frame: &mut Frame) -> Result<Flow, RuntimeError> {
         for stmt in stmts {
             match self.exec_stmt(stmt, frame)? {
                 Flow::Normal => {}
@@ -315,7 +289,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    pub(crate) fn assign(
+    fn assign(
         &mut self,
         target: &Target,
         value: Value,
@@ -365,11 +339,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    pub(crate) fn read_target(
-        &mut self,
-        target: &Target,
-        frame: &mut Frame,
-    ) -> Result<Value, RuntimeError> {
+    fn read_target(&mut self, target: &Target, frame: &mut Frame) -> Result<Value, RuntimeError> {
         match target {
             Target::Var(name) => frame
                 .get(name.as_str())
@@ -386,7 +356,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    pub(crate) fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> Result<Value, RuntimeError> {
+    fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> Result<Value, RuntimeError> {
         self.charge(1)?;
         match expr {
             Expr::Int(v) => Ok(Value::Int(*v)),
@@ -508,22 +478,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    pub(crate) fn call_named(
-        &mut self,
-        name: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
-        // A recursive call back into the graded entry function re-enters the
-        // choice-aware evaluator; the entry shadows any same-named helper,
-        // exactly as it does in the concretised program (where the entry is
-        // `funcs[0]`).
-        if self
-            .choice
-            .as_ref()
-            .is_some_and(|ctx| ctx.func.name == name)
-        {
-            return self.call_choice_func(args);
-        }
+    fn call_named(&mut self, name: &str, args: Vec<Value>) -> Result<Value, RuntimeError> {
         // User-defined functions shadow builtins, matching Python scoping.
         if let Some(func) = self.program.func(name) {
             return self.call_func(func, args);
@@ -584,7 +539,7 @@ pub fn iterable_items(value: &Value) -> Result<Vec<Value>, RuntimeError> {
     }
 }
 
-pub(crate) fn expr_as_target(expr: &Expr) -> Option<Target> {
+fn expr_as_target(expr: &Expr) -> Option<Target> {
     match expr {
         Expr::Var(name) => Some(Target::Var(name.clone())),
         Expr::Index(base, index) => Some(Target::Index((**base).clone(), (**index).clone())),

@@ -59,9 +59,7 @@ fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig
 /// skeleton-cluster repair transfer, effective only with the cache),
 /// `"max_cost"`, `"max_candidates"`, `"time_budget_ms"` (search budget
 /// overrides),
-/// `"backend": "cegis" | "enum" | "portfolio"` (search engine),
-/// `"sweep": "compiled" | "tree"` (verification back end: bytecode VM,
-/// default, or the tree-walking interpreter), and
+/// `"backend": "cegis" | "enum" | "portfolio"` (search engine), and
 /// `"escalation": [{"label"?, "rules"?, "backend"?, "max_cost"?,
 /// "max_candidates"?, "time_budget_ms"?}, ...]` — an escalation ladder
 /// graded cheapest tier first (`"rules": n` truncates the error model to
@@ -75,23 +73,6 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
 
     let mut config = GraderConfig::fast();
     apply_budget_overrides(&body, &mut config.synthesis);
-    // Per-problem verification back end: "compiled" (default) sweeps the
-    // input deck on the bytecode VM, "tree" opts this problem out and
-    // walks the AST — an escape hatch should a submission shape trip the
-    // compiler.  Outcomes are identical either way.
-    if let Some(sweep_name) = body.get("sweep").and_then(Json::as_str) {
-        match afg_core::SweepMode::parse(sweep_name) {
-            Some(sweep) => config.equivalence.sweep = sweep,
-            None => {
-                return (
-                    422,
-                    error_json(&format!(
-                        "unknown sweep mode '{sweep_name}' (expected tree or compiled)"
-                    )),
-                );
-            }
-        }
-    }
     if let Some(backend_name) = body.get("backend").and_then(Json::as_str) {
         match afg_core::Backend::parse(backend_name) {
             Some(backend) => config.backend = backend,
@@ -212,7 +193,6 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 ("cache", Json::Bool(use_cache)),
                 ("clustering", Json::Bool(use_clustering)),
                 ("backend", Json::str(grader.config().backend.name())),
-                ("sweep", Json::str(grader.config().equivalence.sweep.name())),
                 (
                     "escalation_tiers",
                     grader.config().escalation.tiers.len().to_json(),

@@ -119,17 +119,16 @@ impl OutcomeCounters {
         ])
     }
 
-    /// Verification-sweep work accumulated from fresh (non-cache) grades;
-    /// `mode` comes from the grader's configuration.  The verdict cache is
+    /// Verification-sweep work accumulated from fresh (non-cache) grades.
+    /// The verdict cache is
     /// the per-sweep trie memoising (program, input) verdicts: `inputs`
     /// counts every input considered (hits included), so misses — inputs
     /// that actually ran — are the difference, and `nodes` is the largest
     /// trie any single search grew.
-    fn sweep_snapshot(&self, mode: &str) -> Json {
+    fn sweep_snapshot(&self) -> Json {
         let inputs = self.sweep_inputs.load(Ordering::Relaxed);
         let hits = self.sweep_cache_hits.load(Ordering::Relaxed);
         Json::object([
-            ("mode", Json::str(mode)),
             ("sweeps", self.sweeps.load(Ordering::Relaxed).to_json()),
             ("sweep_inputs", inputs.to_json()),
             (
@@ -182,11 +181,7 @@ impl ProblemEntry {
             ("escalation".to_string(), Json::Array(escalation)),
             ("outcomes".to_string(), self.counters.snapshot()),
             ("solver".to_string(), self.counters.solver_snapshot()),
-            (
-                "sweep".to_string(),
-                self.counters
-                    .sweep_snapshot(config.equivalence.sweep.name()),
-            ),
+            ("sweep".to_string(), self.counters.sweep_snapshot()),
         ];
         match &self.cache {
             Some(cache) => pairs.push(("cache".to_string(), cache.stats().to_json())),

@@ -62,12 +62,12 @@ pub struct SynthesisStats {
     /// Candidate executions performed during those sweeps — one per
     /// (assignment, input) pair actually run.
     pub sweep_inputs: u64,
-    /// Whether verification ran on the compiled bytecode VM (false under
-    /// [`afg_interp::SweepMode::Tree`] or when the candidate space used a
-    /// construct the compiler cannot lower).
+    /// Whether verification ran on the compiled bytecode VM (false when
+    /// the candidate space used a construct the compiler cannot lower, so
+    /// candidates were concretized and run on the tree walker).
     pub sweep_compiled: bool,
     /// Checks answered from the verdict cache without executing (a subset
-    /// of `sweep_inputs`; 0 on the tree path or with the cache off).
+    /// of `sweep_inputs`; 0 on the fallback path).
     pub sweep_cache_hits: u64,
     /// Verdict-cache trie nodes held at the end of the search (high-water
     /// across merged strategies).

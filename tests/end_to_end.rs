@@ -180,3 +180,44 @@ def computeDeriv(poly):
     assert!(a.feedback().is_some(), "textual model failed: {a:?}");
     assert!(b.feedback().is_some(), "library model failed: {b:?}");
 }
+
+/// A submission the bytecode compiler cannot lower (a mutating method call
+/// on an index expression, `box[0].append(...)`) is still graded: its
+/// verification session concretizes each candidate and runs it on the tree
+/// walker, and the repair matches the one the VM path would report.
+#[test]
+fn uncompilable_submission_is_graded_through_the_fallback() {
+    use autofeedback::interp::CompiledProgram;
+
+    let submission = "\
+def computeDeriv(poly):
+    box = [[]]
+    if len(poly) == 1:
+        return box[0]
+    for e in range(0, len(poly)):
+        box[0].append(poly[e]*e)
+    return box[0]
+";
+    let problem = problems::compute_deriv();
+    let mut config = GraderConfig::fast();
+    // Candidate-bounded, so the verdict does not depend on machine load.
+    config.synthesis.time_budget = std::time::Duration::from_secs(3600);
+    let grader = problem.autograder(config);
+    let student = parse_program(submission).unwrap();
+    let choices = apply_error_model(&student, Some(grader.entry()), grader.model()).unwrap();
+    assert!(CompiledProgram::from_choice(&choices).is_none());
+
+    match grader.grade_source(submission) {
+        GradeOutcome::Feedback(feedback) => {
+            assert!(!feedback.stats.sweep_compiled, "the session fell back");
+            assert_eq!(feedback.cost, 2);
+            assert_eq!(
+                feedback.to_string(),
+                "The program requires 2 changes:\n  \
+                 * In the return statement return box[0] in line 4, replace box[0] with [0]\n  \
+                 * In the expression 0 in line 5, change the range bounds to 0 + 1\n"
+            );
+        }
+        other => panic!("expected feedback, got {other:?}"),
+    }
+}

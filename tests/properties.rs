@@ -242,15 +242,16 @@ fn assignment_cost_counts_non_default_choices() {
     }
 }
 
-/// The zero-materialisation refactor's differential property: evaluating a
-/// candidate by walking the choice AST under an assignment agrees with
-/// concretising the assignment and interpreting the resulting program — for
-/// every benchmark problem, across default, single-choice and random
+/// The zero-materialisation differential property: a verification
+/// session evaluating a candidate by loading its assignment into the
+/// compiled choice program agrees with concretising the assignment and
+/// interpreting the resulting program on the tree walker — for every
+/// benchmark problem, across default, single-choice and random
 /// multi-choice assignments, on the oracle's bounded inputs.
 #[test]
 fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
     use autofeedback::core::GraderConfig;
-    use autofeedback::interp::{ChoiceEvaluator, ExecLimits};
+    use autofeedback::interp::{ExecLimits, ExecResult};
 
     let limits = ExecLimits::fast();
     for problem in problems::all_problems() {
@@ -282,38 +283,22 @@ fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
                 assignments.push(assignment);
             }
 
-            let evaluator = ChoiceEvaluator::new(&choices, limits);
+            let session = grader.oracle().choice_session(&choices);
             for (which, assignment) in assignments.iter().enumerate().take(24) {
                 let concrete = choices.concretize(assignment);
                 // Sample the bounded input space: small spaces are swept
                 // exhaustively, large ones by stride, touching short and
                 // long inputs alike.
                 let stride = (inputs.len() / 64).max(1);
-                for args in inputs.iter().step_by(stride) {
-                    let direct = evaluator.run(assignment, args);
-                    let materialised = autofeedback::interp::run_function(
-                        &concrete,
-                        Some(problem.entry),
-                        args,
-                        limits,
+                for (index, args) in inputs.iter().enumerate().step_by(stride) {
+                    let direct = session.observe(assignment, index);
+                    let materialised =
+                        ExecResult::observe(&concrete, Some(problem.entry), args, limits);
+                    assert_eq!(
+                        direct, materialised,
+                        "{}: assignment #{which} diverged on {args:?}",
+                        problem.id
                     );
-                    match (&direct, &materialised) {
-                        (Ok(a), Ok(b)) => assert_eq!(
-                            a, b,
-                            "{}: assignment #{which} diverged on {args:?}",
-                            problem.id
-                        ),
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.kind(),
-                            b.kind(),
-                            "{}: assignment #{which} error kinds diverged on {args:?}",
-                            problem.id
-                        ),
-                        _ => panic!(
-                            "{}: assignment #{which} diverged on {args:?}: {direct:?} vs {materialised:?}",
-                            problem.id
-                        ),
-                    }
                 }
             }
         }
