@@ -9,6 +9,13 @@
 //! cost bound without re-encoding (assumption literals are pseudo-decisions,
 //! so every learnt clause remains a consequence of the clause database alone
 //! and stays valid across `solve` calls).
+//!
+//! The kernel does not allocate on its hot paths.  Every clause, original or
+//! learnt, lives in one flat literal arena and is named by a `u32` clause
+//! reference; watch lists and reasons hold those references.  Propagation
+//! hands each processed watch list back in place, conflict analysis walks
+//! reason clauses inside the arena with one solver-owned scratch mark per
+//! variable, and a literal's value is one load from a per-literal table.
 
 use crate::literal::{Lit, Model, Var};
 
@@ -54,8 +61,26 @@ pub struct SolverStats {
 
 const UNASSIGNED: u8 = 2;
 
+/// The reason of a variable no clause implied: a decision, an assumption, a
+/// level-0 unit, or an unassigned variable.
+const NO_REASON: u32 = u32::MAX;
+
 /// Marker for a variable currently absent from the branching heap.
 const NOT_IN_HEAP: usize = usize::MAX;
+
+/// Where one clause's literals sit in the arena.
+#[derive(Debug, Clone, Copy)]
+struct ClauseSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
 
 /// An indexed binary max-heap over variable activities.
 ///
@@ -76,8 +101,8 @@ impl VarOrder {
         self.pos[var] != NOT_IN_HEAP
     }
 
-    fn push_new_var(&mut self, activity: &[f64]) {
-        let var = self.pos.len() as u32;
+    fn push_new_var(&mut self, var: u32, activity: &[f64]) {
+        debug_assert_eq!(var as usize, self.pos.len());
         self.pos.push(NOT_IN_HEAP);
         self.insert(var, activity);
     }
@@ -160,20 +185,25 @@ impl VarOrder {
 /// satisfiability under a conjunction of assumption literals without adding
 /// them to the clause database — the CEGISMIN minimisation descent activates
 /// successively tighter cost bounds this way, one encoding per grade.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Solver {
-    /// Clause database; index 0.. are both original and learnt clauses.
-    clauses: Vec<Vec<Lit>>,
-    /// For each literal index, the clauses currently watching it.
-    watches: Vec<Vec<usize>>,
-    /// Current assignment per variable: 0 = false, 1 = true, 2 = unassigned.
-    assign: Vec<u8>,
+    /// Literals of every clause, original and learnt, back to back.
+    arena: Vec<Lit>,
+    /// Each clause's place in `arena`, indexed by clause reference.
+    spans: Vec<ClauseSpan>,
+    /// For each literal index, the references of the clauses watching it.
+    watches: Vec<Vec<u32>>,
+    /// Current value per literal index: 0 = false, 1 = true, or
+    /// [`UNASSIGNED`].  Both literals of a variable are kept, so a value
+    /// lookup is one load.
+    values: Vec<u8>,
     /// Saved phase per variable (last assigned polarity).
     phase: Vec<bool>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
-    /// Reason clause index for each assigned variable (None for decisions).
-    reason: Vec<Option<usize>>,
+    /// Reason clause reference for each assigned variable, or
+    /// [`NO_REASON`].
+    reason: Vec<u32>,
     /// Assignment trail.
     trail: Vec<Lit>,
     /// Trail indices where each decision level starts.
@@ -190,6 +220,11 @@ pub struct Solver {
     ok: bool,
     /// Assumption subset responsible for the last assumption-driven `Unsat`.
     last_core: Vec<Lit>,
+    /// Per-variable scratch marks, all zero between calls: conflict analysis
+    /// marks the variables it has met, `add_clause` the polarity it kept.
+    seen: Vec<u8>,
+    /// The clause conflict analysis learns; slot 0 holds the UIP.
+    learnt: Vec<Lit>,
     /// Number of conflicts seen (drives restarts).
     conflicts: u64,
     /// Statistics: number of decisions.
@@ -202,24 +237,49 @@ pub struct Solver {
     learnts: u64,
 }
 
+impl Default for Solver {
+    fn default() -> Solver {
+        Solver::new()
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
+            arena: Vec::new(),
+            spans: Vec::new(),
+            watches: Vec::new(),
+            values: Vec::new(),
+            phase: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            propagate_head: 0,
+            activity: Vec::new(),
+            order: VarOrder::default(),
             var_inc: 1.0,
             ok: true,
-            ..Solver::default()
+            last_core: Vec::new(),
+            seen: Vec::new(),
+            learnt: Vec::new(),
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
+            restarts: 0,
+            learnts: 0,
         }
     }
 
     /// Number of variables currently allocated.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of clauses (original plus learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.spans.len()
     }
 
     /// Work counters since creation.
@@ -235,15 +295,16 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let index = self.assign.len() as u32;
-        self.assign.push(UNASSIGNED);
+        let index = u32::try_from(self.level.len()).expect("variable count fits in u32");
+        self.values.extend([UNASSIGNED, UNASSIGNED]);
         self.phase.push(false);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
+        self.seen.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push_new_var(&self.activity);
+        self.order.push_new_var(index, &self.activity);
         Var(index)
     }
 
@@ -253,14 +314,7 @@ impl Solver {
     }
 
     fn lit_value(&self, lit: Lit) -> u8 {
-        let v = self.assign[lit.var().index()];
-        if v == UNASSIGNED {
-            UNASSIGNED
-        } else if lit.is_positive() {
-            v
-        } else {
-            1 - v
-        }
+        self.values[lit.index()]
     }
 
     /// Adds a clause.  Returns `false` if the clause makes the formula
@@ -273,38 +327,64 @@ impl Solver {
         // Adding clauses is only allowed at decision level 0.
         self.cancel_until(0);
 
-        // Normalise: drop duplicate literals, detect tautologies.
-        let mut clause: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Normalise at the arena's tail in one pass: the per-variable mark
+        // records the polarity kept (1 positive, 2 negative), so a repeated
+        // literal is dropped and x ∨ ¬x is caught.
+        let start = self.arena.len();
+        let mut tautology = false;
         for &lit in lits {
-            if clause.contains(&lit.negated()) {
-                return true; // tautology: x ∨ ¬x — trivially satisfied
-            }
-            if !clause.contains(&lit) {
-                clause.push(lit);
+            let polarity = 1 + u8::from(!lit.is_positive());
+            let mark = &mut self.seen[lit.var().index()];
+            if *mark == 0 {
+                *mark = polarity;
+                self.arena.push(lit);
+            } else if *mark != polarity {
+                tautology = true;
+                break;
             }
         }
-        // Remove literals already false at level 0; a clause already true at
-        // level 0 can be dropped.
-        clause.retain(|&lit| self.lit_value(lit) != 0 || self.level[lit.var().index()] != 0);
-        if clause
-            .iter()
-            .any(|&lit| self.lit_value(lit) == 1 && self.level[lit.var().index()] == 0)
-        {
+        for &lit in &self.arena[start..] {
+            self.seen[lit.var().index()] = 0;
+        }
+        if tautology {
+            // x ∨ ¬x — trivially satisfied.
+            self.arena.truncate(start);
             return true;
         }
 
-        match clause.len() {
+        // Remove literals already false at level 0; a clause already true at
+        // level 0 can be dropped.
+        let mut kept = start;
+        for k in start..self.arena.len() {
+            let lit = self.arena[k];
+            let at_root = self.level[lit.var().index()] == 0;
+            match self.lit_value(lit) {
+                0 if at_root => {}
+                1 if at_root => {
+                    self.arena.truncate(start);
+                    return true;
+                }
+                _ => {
+                    self.arena[kept] = lit;
+                    kept += 1;
+                }
+            }
+        }
+        self.arena.truncate(kept);
+
+        match kept - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                if self.lit_value(clause[0]) == 0 {
+                let unit = self.arena.pop().expect("one literal kept");
+                if self.lit_value(unit) == 0 {
                     self.ok = false;
                     return false;
                 }
-                if self.lit_value(clause[0]) == UNASSIGNED {
-                    self.enqueue(clause[0], None);
+                if self.lit_value(unit) == UNASSIGNED {
+                    self.enqueue(unit, NO_REASON);
                 }
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -313,13 +393,27 @@ impl Solver {
                 true
             }
             _ => {
-                let index = self.clauses.len();
-                self.watches[clause[0].negated().index()].push(index);
-                self.watches[clause[1].negated().index()].push(index);
-                self.clauses.push(clause);
+                self.attach_clause(start);
                 true
             }
         }
+    }
+
+    /// Registers the literals `arena[start..]` as a new clause watched by
+    /// its first two literals, and returns its reference.
+    fn attach_clause(&mut self, start: usize) -> u32 {
+        let cref = u32::try_from(self.spans.len())
+            .ok()
+            .filter(|&cref| cref != NO_REASON)
+            .expect("clause count fits in a u32 reference");
+        let span = ClauseSpan {
+            start: u32::try_from(start).expect("clause arena fits in u32 offsets"),
+            len: u32::try_from(self.arena.len() - start).expect("clause length fits in u32"),
+        };
+        self.watches[self.arena[start].negated().index()].push(cref);
+        self.watches[self.arena[start + 1].negated().index()].push(cref);
+        self.spans.push(span);
+        cref
     }
 
     /// Adds the clause `a → b`, i.e. `¬a ∨ b`.
@@ -342,79 +436,87 @@ impl Solver {
         true
     }
 
-    fn enqueue(&mut self, lit: Lit, reason: Option<usize>) {
+    fn enqueue(&mut self, lit: Lit, reason: u32) {
         let var = lit.var().index();
-        debug_assert_eq!(self.assign[var], UNASSIGNED);
-        self.assign[var] = u8::from(lit.is_positive());
+        debug_assert_eq!(self.values[lit.index()], UNASSIGNED);
+        self.values[lit.index()] = 1;
+        self.values[lit.negated().index()] = 0;
         self.phase[var] = lit.is_positive();
         self.level[var] = self.trail_lim.len() as u32;
         self.reason[var] = reason;
         self.trail.push(lit);
     }
 
-    /// Unit propagation.  Returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation.  Returns the reference of a conflicting clause, if
+    /// any.
+    fn propagate(&mut self) -> Option<u32> {
         while self.propagate_head < self.trail.len() {
             let lit = self.trail[self.propagate_head];
             self.propagate_head += 1;
             self.propagations += 1;
 
             // Clauses watching ¬lit need attention now that lit became true.
+            // The list is taken out while it is walked and moved back after:
+            // a rewatch never targets ¬lit (the clause's other literals
+            // differ from it), so nothing lands in the emptied slot.
             let mut watch_list = std::mem::take(&mut self.watches[lit.index()]);
+            let mut conflict = None;
             let mut i = 0;
             while i < watch_list.len() {
-                let clause_index = watch_list[i];
-                match self.examine_clause(clause_index, lit) {
-                    WatchOutcome::KeepWatching => {
-                        i += 1;
-                    }
+                let cref = watch_list[i];
+                match self.examine_clause(cref, lit) {
+                    WatchOutcome::KeepWatching => i += 1,
                     WatchOutcome::Rewatched => {
                         watch_list.swap_remove(i);
                     }
                     WatchOutcome::Conflict => {
-                        // Put the remaining watches back before returning.
-                        self.watches[lit.index()].append(&mut watch_list);
-                        return Some(clause_index);
+                        conflict = Some(cref);
+                        break;
                     }
                 }
             }
-            self.watches[lit.index()].extend(watch_list);
+            debug_assert!(self.watches[lit.index()].is_empty());
+            self.watches[lit.index()] = watch_list;
+            if conflict.is_some() {
+                return conflict;
+            }
         }
         None
     }
 
-    fn examine_clause(&mut self, clause_index: usize, false_lit: Lit) -> WatchOutcome {
-        // The literal that just became false is ¬false_lit... i.e. the
-        // watched literal equal to false_lit.negated().
+    fn examine_clause(&mut self, cref: u32, false_lit: Lit) -> WatchOutcome {
+        // The literal that just became false is the watched ¬false_lit.
         let watched = false_lit.negated();
+        let clause = &mut self.arena[self.spans[cref as usize].range()];
         // Ensure the falsified literal is at position 1.
-        if self.clauses[clause_index][0] == watched {
-            self.clauses[clause_index].swap(0, 1);
+        if clause[0] == watched {
+            clause.swap(0, 1);
         }
-        debug_assert_eq!(self.clauses[clause_index][1], watched);
+        debug_assert_eq!(clause[1], watched);
 
         // If the other watched literal is already true the clause is
         // satisfied; keep watching.
-        let first = self.clauses[clause_index][0];
-        if self.lit_value(first) == 1 {
+        let first = clause[0];
+        if self.values[first.index()] == 1 {
             return WatchOutcome::KeepWatching;
         }
 
         // Look for a new literal to watch.
-        for k in 2..self.clauses[clause_index].len() {
-            let candidate = self.clauses[clause_index][k];
-            if self.lit_value(candidate) != 0 {
-                self.clauses[clause_index].swap(1, k);
-                self.watches[candidate.negated().index()].push(clause_index);
+        for k in 2..clause.len() {
+            let candidate = clause[k];
+            if self.values[candidate.index()] != 0 {
+                debug_assert_ne!(candidate, watched, "rewatch onto the walked list");
+                clause.swap(1, k);
+                self.watches[candidate.negated().index()].push(cref);
                 return WatchOutcome::Rewatched;
             }
         }
 
         // Clause is unit or conflicting.
-        if self.lit_value(first) == 0 {
+        if self.values[first.index()] == 0 {
             WatchOutcome::Conflict
         } else {
-            self.enqueue(first, Some(clause_index));
+            self.enqueue(first, cref);
             WatchOutcome::KeepWatching
         }
     }
@@ -432,33 +534,33 @@ impl Solver {
         self.order.bumped(var.index() as u32, &self.activity);
     }
 
-    /// First-UIP conflict analysis.  Returns the learnt clause and the level
-    /// to backtrack to.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
+    /// First-UIP conflict analysis.  Leaves the learnt clause in
+    /// `self.learnt` and returns the level to backtrack to.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current_level = self.trail_lim.len() as u32;
-        let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
+        self.learnt.clear();
+        // Slot 0 is reserved for the UIP, found last.
+        self.learnt.push(Lit(0));
         let mut counter = 0usize;
         let mut lit: Option<Lit> = None;
-        let mut reason_clause = conflict;
+        let mut cref = conflict;
         let mut trail_index = self.trail.len();
 
         loop {
-            let clause = self.clauses[reason_clause].clone();
             // Skip the asserting literal itself when walking a reason clause.
-            let skip = lit;
-            for &q in &clause {
-                if Some(q) == skip {
+            for k in self.spans[cref as usize].range() {
+                let q = self.arena[k];
+                if Some(q) == lit {
                     continue;
                 }
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = 1;
                     self.bump_activity(v);
                     if self.level[v.index()] >= current_level {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -467,21 +569,24 @@ impl Solver {
             loop {
                 trail_index -= 1;
                 let trail_lit = self.trail[trail_index];
-                if seen[trail_lit.var().index()] {
+                if self.seen[trail_lit.var().index()] != 0 {
                     lit = Some(trail_lit);
                     break;
                 }
             }
             let asserting = lit.expect("conflict analysis found a literal");
             counter -= 1;
-            seen[asserting.var().index()] = false;
+            self.seen[asserting.var().index()] = 0;
             if counter == 0 {
                 // First UIP found; it is asserted negated in the learnt clause.
-                learnt.insert(0, asserting.negated());
+                self.learnt[0] = asserting.negated();
                 break;
             }
-            reason_clause = self.reason[asserting.var().index()]
-                .expect("non-decision literal must have a reason");
+            cref = self.reason[asserting.var().index()];
+            debug_assert_ne!(cref, NO_REASON, "non-decision literal must have a reason");
+        }
+        for &q in &self.learnt[1..] {
+            self.seen[q.var().index()] = 0;
         }
 
         // Backtrack level = highest level among the other learnt literals.
@@ -490,17 +595,17 @@ impl Solver {
         // backtracking, preserving the watching invariant.
         let mut backtrack_level = 0;
         let mut second_watch = 1;
-        for (offset, l) in learnt.iter().enumerate().skip(1) {
+        for (offset, l) in self.learnt.iter().enumerate().skip(1) {
             let lvl = self.level[l.var().index()];
             if lvl > backtrack_level {
                 backtrack_level = lvl;
                 second_watch = offset;
             }
         }
-        if learnt.len() > 1 {
-            learnt.swap(1, second_watch);
+        if self.learnt.len() > 1 {
+            self.learnt.swap(1, second_watch);
         }
-        (learnt, backtrack_level)
+        backtrack_level
     }
 
     /// Computes the subset of assumptions responsible for forcing the
@@ -514,27 +619,29 @@ impl Solver {
         if self.trail_lim.is_empty() {
             return;
         }
-        let mut seen = vec![false; self.num_vars()];
-        seen[failed.var().index()] = true;
+        self.seen[failed.var().index()] = 1;
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let lit = self.trail[i];
-            if !seen[lit.var().index()] {
+            if self.seen[lit.var().index()] == 0 {
                 continue;
             }
             match self.reason[lit.var().index()] {
                 // A pseudo-decision above level 0 is an assumption.
-                None => self.last_core.push(lit),
-                Some(clause_index) => {
-                    for k in 0..self.clauses[clause_index].len() {
-                        let q = self.clauses[clause_index][k];
+                NO_REASON => self.last_core.push(lit),
+                cref => {
+                    for k in self.spans[cref as usize].range() {
+                        let q = self.arena[k];
                         if q.var() != lit.var() && self.level[q.var().index()] > 0 {
-                            seen[q.var().index()] = true;
+                            self.seen[q.var().index()] = 1;
                         }
                     }
                 }
             }
-            seen[lit.var().index()] = false;
+            self.seen[lit.var().index()] = 0;
         }
+        // Every mark above level 0 was cleared on the walk; `failed` itself
+        // may have been forced at level 0, below the walk.
+        self.seen[failed.var().index()] = 0;
     }
 
     /// The subset of assumption literals responsible for the most recent
@@ -551,8 +658,9 @@ impl Solver {
             while self.trail.len() > start {
                 let lit = self.trail.pop().expect("non-empty trail");
                 let var = lit.var().index();
-                self.assign[var] = UNASSIGNED;
-                self.reason[var] = None;
+                self.values[lit.index()] = UNASSIGNED;
+                self.values[lit.negated().index()] = UNASSIGNED;
+                self.reason[var] = NO_REASON;
                 // Lazy heap re-insertion: freed variables become branchable
                 // again.
                 self.order.insert(var as u32, &self.activity);
@@ -565,7 +673,7 @@ impl Solver {
     /// assigned by propagation since insertion are discarded on the way).
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(var) = self.order.pop(&self.activity) {
-            if self.assign[var as usize] == UNASSIGNED {
+            if self.lit_value(Var(var).positive()) == UNASSIGNED {
                 return Some(Var(var));
             }
         }
@@ -610,26 +718,25 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
+                let backtrack_level = self.analyze(conflict);
                 self.cancel_until(backtrack_level);
                 self.var_inc *= 1.05;
-                if learnt.len() == 1 {
-                    if self.lit_value(learnt[0]) == 0 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    if self.lit_value(asserting) == 0 {
                         // False at level 0: contradictory clause database.
                         self.ok = false;
                         return SatResult::Unsat;
                     }
-                    if self.lit_value(learnt[0]) == UNASSIGNED {
-                        self.enqueue(learnt[0], None);
+                    if self.lit_value(asserting) == UNASSIGNED {
+                        self.enqueue(asserting, NO_REASON);
                     }
                 } else {
-                    let index = self.clauses.len();
-                    self.watches[learnt[0].negated().index()].push(index);
-                    self.watches[learnt[1].negated().index()].push(index);
-                    let asserting = learnt[0];
-                    self.clauses.push(learnt);
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learnt);
+                    let cref = self.attach_clause(start);
                     self.learnts += 1;
-                    self.enqueue(asserting, Some(index));
+                    self.enqueue(asserting, cref);
                 }
             } else {
                 if conflicts_since_restart >= restart_limit {
@@ -658,7 +765,7 @@ impl Solver {
                         }
                         _ => {
                             self.trail_lim.push(self.trail.len());
-                            self.enqueue(lit, None);
+                            self.enqueue(lit, NO_REASON);
                         }
                     }
                     continue;
@@ -666,7 +773,7 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // All variables assigned: build the model.
-                        let values = self.assign.iter().map(|&v| v == 1).collect();
+                        let values = self.values.iter().step_by(2).map(|&v| v == 1).collect();
                         let model = Model { values };
                         // Leave the solver reusable for incremental calls.
                         self.cancel_until(0);
@@ -681,7 +788,7 @@ impl Solver {
                         } else {
                             var.negative()
                         };
-                        self.enqueue(lit, None);
+                        self.enqueue(lit, NO_REASON);
                     }
                 }
             }
@@ -729,6 +836,16 @@ mod tests {
         let mut s = Solver::new();
         let _ = lits(&mut s, 3);
         assert!(s.solve().is_sat());
+    }
+
+    #[test]
+    fn default_solver_is_live() {
+        let mut s = Solver::default();
+        assert!(s.solve().is_sat());
+        let v = lits(&mut s, 2);
+        assert!(s.add_clause(&[v[0].negative(), v[1].positive()]));
+        assert!(s.add_clause(&[v[0].positive()]));
+        assert!(s.solve().model().expect("satisfiable").value(v[1]));
     }
 
     #[test]

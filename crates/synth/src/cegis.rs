@@ -20,13 +20,15 @@
 //! candidates are excluded with blocking clauses.
 //!
 //! The verification hot loop is **zero-materialisation**: candidates are
-//! evaluated through the oracle's [`afg_interp::ChoiceSession`], which walks
-//! the shared choice AST under the proposed assignment, and inputs are
-//! checked **counterexamples first** — the inputs that killed earlier
-//! candidates almost always kill the next one too, so the common case
-//! rejects a candidate after a handful of runs.  `concretize` is never
-//! called while searching (a unit test counts the calls); it remains the
-//! cold path for rendering the final repaired program.
+//! evaluated through the oracle's [`afg_interp::ChoiceSession`], which
+//! compiles the choice program to bytecode once and loads each proposed
+//! assignment into the VM's selection array, and inputs are checked
+//! **counterexamples first** — the inputs that killed earlier candidates
+//! almost always kill the next one too, so the common case rejects a
+//! candidate after a handful of runs.  `concretize` is not called while
+//! searching a compilable program (a unit test counts the calls); it remains
+//! the cold path for rendering the final repaired program, and the session's
+//! fallback for the rare program the compiler cannot lower.
 
 use std::time::Instant;
 
@@ -213,9 +215,10 @@ impl SearchStrategy for CegisSolver {
                 break;
             }
 
-            // Verification phase: bounded-exhaustive equivalence check over
-            // the shared choice AST, accumulated counterexamples first — the
-            // fast-rejection path and the full sweep in one ordered pass.
+            // Verification phase: bounded-exhaustive equivalence check with
+            // the assignment loaded into the session's bytecode VM,
+            // accumulated counterexamples first — the fast-rejection path
+            // and the full sweep in one ordered pass.
             let verify_start = Instant::now();
             let verdict = session.find_counterexample(&assignment, &counterexamples);
             stats.verify_elapsed += verify_start.elapsed();
