@@ -32,7 +32,7 @@ use afg_core::{Autograder, Backend, FeedbackLevel, GradeOutcome, GraderConfig};
 use afg_corpus::{generate_corpus, problems, CorpusSpec};
 use afg_json::Json;
 use afg_service::client::Client;
-use afg_service::{IoMode, ServerHandle, ServiceConfig};
+use afg_service::{ServerHandle, ServiceConfig};
 
 struct Options {
     problem: String,
@@ -48,7 +48,6 @@ struct Options {
     skeletons: usize,
     no_transfer: bool,
     workers: usize,
-    io: IoMode,
     idle_frac: Option<f64>,
 }
 
@@ -67,8 +66,6 @@ fn usage() -> String {
      --addr HOST:PORT  drive an external daemon instead of booting one\n\
      --no-cache        only run the cache-disabled mode\n\
      --backend B       synthesis back end on both daemon and library path\n\
-     --io MODE         I/O core for the in-process daemon: epoll or threads\n\
-     \x20               (default: the platform default, epoll on Linux)\n\
      \n\
      high-concurrency mode (JSON on stdout):\n\
      --idle-frac F     hold --connections keep-alive sockets but drive grade\n\
@@ -104,7 +101,6 @@ fn parse_options() -> Options {
         skeletons: 8,
         no_transfer: false,
         workers: 1,
-        io: IoMode::default(),
         idle_frac: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,10 +138,6 @@ fn parse_options() -> Options {
             "--backend" => match iter.next().and_then(|v| Backend::parse(v)) {
                 Some(backend) => options.backend = backend,
                 None => exit_usage("option '--backend' expects cegis, enum or portfolio"),
-            },
-            "--io" => match iter.next().and_then(|v| IoMode::parse(v)) {
-                Some(io) => options.io = io,
-                None => exit_usage("option '--io' expects epoll or threads"),
             },
             "--idle-frac" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(frac) if (0.0..1.0).contains(&frac) => options.idle_frac = Some(frac),
@@ -350,11 +342,9 @@ fn run_classroom_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
     std::process::exit(0)
 }
 
-/// Resolves `--addr`, or boots an in-process daemon honoring `--io`.
-/// `threads_hint` sizes the worker pool for the thread-per-connection
-/// core; the epoll core keeps its default CPU-worker count, since its
-/// thread count is independent of connections.
-fn daemon_for(options: &Options, threads_hint: usize) -> (SocketAddr, Option<ServerHandle>) {
+/// Resolves `--addr`, or boots an in-process daemon with its default
+/// CPU-worker count (independent of the number of connections).
+fn daemon_for(options: &Options) -> (SocketAddr, Option<ServerHandle>) {
     match &options.addr {
         Some(addr) => {
             use std::net::ToSocketAddrs;
@@ -367,13 +357,7 @@ fn daemon_for(options: &Options, threads_hint: usize) -> (SocketAddr, Option<Ser
             }
         }
         None => {
-            let threads = match options.io {
-                IoMode::Threads => threads_hint,
-                IoMode::Epoll => ServiceConfig::default().threads,
-            };
             let handle = afg_service::start(ServiceConfig {
-                io: options.io,
-                threads,
                 // Idle sockets are the point of the high-concurrency mode;
                 // they must not be reaped mid-measurement.
                 keep_alive_timeout: Duration::from_secs(120),
@@ -418,7 +402,7 @@ fn run_concurrency_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
     let sources: Vec<String> = corpus.into_iter().map(|s| s.source).collect();
     let schedule = zipf_schedule(sources.len(), options.requests, options.seed ^ 0x5ca1e);
 
-    let (addr, booted) = daemon_for(options, connections.max(4));
+    let (addr, booted) = daemon_for(options);
 
     let problem_id = format!("{}-conc", problem.id);
     let body = Json::object([
@@ -452,9 +436,8 @@ fn run_concurrency_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
 
     eprintln!(
         "holding {connections} connections ({idle} idle, {active} active), \
-         {} requests, io={}...",
-        schedule.len(),
-        options.io.name()
+         {} requests...",
+        schedule.len()
     );
     let mut idle_conns = Vec::with_capacity(idle);
     for _ in 0..idle {
@@ -503,7 +486,6 @@ fn run_concurrency_mode(options: &Options, problem: &afg_corpus::Problem) -> ! {
     let errors = errors.into_inner();
     let summary = Json::object([
         ("mode", Json::str("concurrency")),
-        ("io", Json::str(options.io.name())),
         ("problem", Json::str(problem.id)),
         ("connections", Json::Int(connections as i64)),
         ("idle", Json::Int(idle as i64)),
@@ -567,11 +549,8 @@ fn main() {
         .map(|source| (source.as_str(), expected_of(&grader, source)))
         .collect();
 
-    // A daemon to drive: external via --addr, or booted in-process (under
-    // the thread-per-connection core the worker pool must at least match
-    // the connection count, since each worker owns one keep-alive
-    // connection at a time).
-    let (addr, booted) = daemon_for(&options, options.connections.max(4));
+    // A daemon to drive: external via --addr, or booted in-process.
+    let (addr, booted) = daemon_for(&options);
 
     // Register the problem twice: with and without the fingerprint cache.
     // Admin calls use one-shot connections — a held keep-alive connection

@@ -39,7 +39,11 @@ fn parse_body(request: &Request) -> Result<Json, (u16, Json)> {
 
 /// Applies the shared search-budget override fields of `body` to
 /// `synthesis` (`"max_cost"`, `"max_candidates"`, `"time_budget_ms"`).
-fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig) {
+/// A budget too large for a `Duration` is an error naming the field.
+fn apply_budget_overrides(
+    body: &Json,
+    synthesis: &mut afg_core::SynthesisConfig,
+) -> Result<(), String> {
     if let Some(max_cost) = body.get("max_cost").and_then(Json::as_i64) {
         synthesis.max_cost = max_cost.max(0) as usize;
     }
@@ -47,8 +51,10 @@ fn apply_budget_overrides(body: &Json, synthesis: &mut afg_core::SynthesisConfig
         synthesis.max_candidates = max_candidates.max(0) as usize;
     }
     if let Some(budget_ms) = body.get("time_budget_ms").and_then(Json::as_f64) {
-        synthesis.time_budget = Duration::from_secs_f64(budget_ms.max(0.0) / 1e3);
+        synthesis.time_budget = Duration::try_from_secs_f64(budget_ms.max(0.0) / 1e3)
+            .map_err(|_| format!("'time_budget_ms' is out of range: {budget_ms}"))?;
     }
+    Ok(())
 }
 
 /// `POST /problems` — body:
@@ -72,7 +78,9 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
     };
 
     let mut config = GraderConfig::fast();
-    apply_budget_overrides(&body, &mut config.synthesis);
+    if let Err(message) = apply_budget_overrides(&body, &mut config.synthesis) {
+        return (400, error_json(&message));
+    }
     if let Some(backend_name) = body.get("backend").and_then(Json::as_str) {
         match afg_core::Backend::parse(backend_name) {
             Some(backend) => config.backend = backend,
@@ -98,7 +106,9 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 );
             }
             let mut synthesis = config.synthesis.clone();
-            apply_budget_overrides(tier, &mut synthesis);
+            if let Err(message) = apply_budget_overrides(tier, &mut synthesis) {
+                return (400, error_json(&format!("escalation[{index}]: {message}")));
+            }
             let backend = match tier.get("backend").and_then(Json::as_str) {
                 Some(name) => match afg_core::Backend::parse(name) {
                     Some(backend) => Some(backend),

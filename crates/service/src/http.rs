@@ -8,14 +8,10 @@
 //! The parser is resumable: [`RequestParser::feed`] accepts bytes in
 //! arbitrary chunks (one syscall's worth from the epoll reactor, a whole
 //! pipelined burst, or one byte at a time) and yields
-//! [`Parse::Partial`] / [`Parse::Complete`] / [`Parse::Error`].  Both I/O
-//! modes — the epoll reactor and the legacy blocking path — run this one
-//! parser, so limits and error semantics cannot drift between them.
-//! Leftover bytes after a complete request (pipelining) stay buffered;
-//! call `feed(&[])` to drain them before reading from the socket again.
-
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+//! [`Parse::Partial`] / [`Parse::Complete`] / [`Parse::Error`].  The epoll
+//! reactor owns one parser per connection.  Leftover bytes after a
+//! complete request (pipelining) stay buffered; call `feed(&[])` to drain
+//! them before reading from the socket again.
 
 /// Largest accepted request body (a submission corpus for batch grading).
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
@@ -168,7 +164,7 @@ impl RequestParser {
     }
 
     /// Tells the parser the stream ended.  A partial header line is
-    /// flushed and parsed exactly as the blocking path always did.
+    /// flushed and parsed as if it had been terminated.
     pub fn eof(&mut self) -> EofOutcome {
         if let ParserState::Failed(err) = &self.state {
             return EofOutcome::Error(err.clone());
@@ -350,16 +346,32 @@ fn body_length(request: &Request) -> Result<usize, ParseError> {
             "transfer-encoding is not supported".into(),
         ));
     }
-    let content_length = match request.header("content-length") {
+    // RFC 9112 §6.3: differing duplicate lengths, or a value that is not
+    // all digits (`usize::from_str` would take `+5`), leave the framing
+    // ambiguous — a proxy honouring another reading would see a different
+    // request boundary (smuggling).  Identical duplicates are harmless.
+    let mut values = request
+        .headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    let content_length = match values.next() {
         None => 0,
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                return Err(ParseError::Malformed(format!(
-                    "bad content-length: {value:?}"
-                )))
+        Some(value) => {
+            if values.any(|other| other != value) {
+                return Err(ParseError::Malformed(
+                    "conflicting content-length headers".into(),
+                ));
             }
-        },
+            match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => {
+                    return Err(ParseError::Malformed(format!(
+                        "bad content-length: {value:?}"
+                    )))
+                }
+            }
+        }
     };
     if content_length > MAX_BODY {
         return Err(ParseError::TooLarge);
@@ -367,69 +379,9 @@ fn body_length(request: &Request) -> Result<usize, ParseError> {
     Ok(content_length)
 }
 
-/// Why reading a request stopped (the blocking path's view of the parser).
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-    /// The bytes on the wire are not HTTP (connection must be dropped).
-    Malformed(String),
-    /// The request exceeds a size limit (respond 413, then drop).
-    TooLarge,
-    /// An I/O error or read timeout.  The error itself is carried for
-    /// `Debug` rendering in tests; the server treats every I/O failure the
-    /// same way (drop the connection).
-    Io(#[allow(dead_code)] io::Error),
-}
-
-/// Reads one request from the stream by pumping `parser`.  The parser must
-/// persist across calls on a keep-alive connection — it carries pipelined
-/// leftovers from the previous read.
-pub fn read_request(reader: &mut impl Read, parser: &mut RequestParser) -> ReadOutcome {
-    let mut chunk = [0u8; 8192];
-    loop {
-        // Drain already-buffered bytes (pipelining) before touching the
-        // socket again.
-        match parser.feed(&[]) {
-            Parse::Complete(request) => return ReadOutcome::Request(request),
-            Parse::Error(err) => return error_outcome(err),
-            Parse::Partial => {}
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                return match parser.eof() {
-                    EofOutcome::Closed => ReadOutcome::Closed,
-                    EofOutcome::Complete(request) => ReadOutcome::Request(request),
-                    EofOutcome::Error(err) => error_outcome(err),
-                    EofOutcome::Drop => ReadOutcome::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof inside request body",
-                    )),
-                };
-            }
-            Ok(n) => match parser.feed(&chunk[..n]) {
-                Parse::Complete(request) => return ReadOutcome::Request(request),
-                Parse::Error(err) => return error_outcome(err),
-                Parse::Partial => {}
-            },
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return ReadOutcome::Io(err),
-        }
-    }
-}
-
-fn error_outcome(err: ParseError) -> ReadOutcome {
-    match err {
-        ParseError::Malformed(message) => ReadOutcome::Malformed(message),
-        ParseError::TooLarge => ReadOutcome::TooLarge,
-    }
-}
-
-/// Encodes one response into a single byte buffer.  **Both** I/O modes
-/// serialize through this function, so `--io threads` and `--io epoll`
-/// responses are byte-identical by construction.
+/// Encodes one response into a single byte buffer, so header and body go
+/// out in one write — two small writes on a socket interact with Nagle +
+/// delayed ACK into ~40 ms stalls, which would dwarf a cache-hit grade.
 #[must_use]
 pub fn encode_response(
     status: u16,
@@ -458,41 +410,6 @@ pub fn encode_response(
     response.into_bytes()
 }
 
-/// Writes one `application/json` response.
-///
-/// Header and body go out in a single `write_all` — two small writes on a
-/// socket without `TCP_NODELAY` interact with Nagle + delayed ACK into
-/// ~40 ms stalls, which would dwarf a cache-hit grading time.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, "application/json", &[], body, keep_alive)
-}
-
-/// [`write_response`] with an explicit content type and extra headers —
-/// for `/metrics` (Prometheus text) and the `X-Afg-Trace-Id` grade
-/// header.  Same single-`write_all` discipline.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    stream.write_all(&encode_response(
-        status,
-        content_type,
-        extra_headers,
-        body,
-        keep_alive,
-    ))?;
-    stream.flush()
-}
-
 fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -512,11 +429,20 @@ fn reason_phrase(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
-    /// Feeds raw bytes to `read_request` through an in-memory reader — the
-    /// same code path a blocking socket takes (including the EOF).
-    fn parse_raw(raw: &[u8]) -> ReadOutcome {
+    /// Feeds raw bytes to a fresh parser in one chunk and then signals the
+    /// end of the stream — what the reactor does when a peer writes a
+    /// request and half-closes.
+    fn parse_raw(raw: &[u8]) -> EofOutcome {
         let mut parser = RequestParser::new();
-        read_request(&mut io::Cursor::new(raw.to_vec()), &mut parser)
+        match parser.feed(raw) {
+            Parse::Complete(request) => EofOutcome::Complete(request),
+            Parse::Error(err) => EofOutcome::Error(err),
+            Parse::Partial => parser.eof(),
+        }
+    }
+
+    fn is_malformed(outcome: &EofOutcome) -> bool {
+        matches!(outcome, EofOutcome::Error(ParseError::Malformed(_)))
     }
 
     #[test]
@@ -528,7 +454,7 @@ mod tests {
               \r\n\
               {\"a\"",
         );
-        let ReadOutcome::Request(request) = outcome else {
+        let EofOutcome::Complete(request) = outcome else {
             panic!("expected request, got {outcome:?}");
         };
         assert_eq!(request.method, "POST");
@@ -541,12 +467,12 @@ mod tests {
     #[test]
     fn connection_close_and_http10_disable_keep_alive() {
         let outcome = parse_raw(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let ReadOutcome::Request(request) = outcome else {
+        let EofOutcome::Complete(request) = outcome else {
             panic!("{outcome:?}")
         };
         assert!(!request.keep_alive());
         let outcome = parse_raw(b"GET /healthz HTTP/1.0\r\n\r\n");
-        let ReadOutcome::Request(request) = outcome else {
+        let EofOutcome::Complete(request) = outcome else {
             panic!("{outcome:?}")
         };
         assert!(!request.keep_alive());
@@ -554,21 +480,21 @@ mod tests {
 
     #[test]
     fn clean_eof_reports_closed_and_garbage_reports_malformed() {
-        assert!(matches!(parse_raw(b""), ReadOutcome::Closed));
-        assert!(matches!(
-            parse_raw(b"nonsense\r\n\r\n"),
-            ReadOutcome::Malformed(_)
-        ));
-        assert!(matches!(
-            parse_raw(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            ReadOutcome::Malformed(_)
-        ));
+        assert!(matches!(parse_raw(b""), EofOutcome::Closed));
+        assert!(is_malformed(&parse_raw(b"nonsense\r\n\r\n")));
+        // A length that is not all ASCII digits is malformed, including
+        // the `+2` that `usize::from_str` would accept.
+        for value in ["nope", "+2", "-0", "2, 2", "0x2", ""] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{}}");
+            let outcome = parse_raw(raw.as_bytes());
+            assert!(is_malformed(&outcome), "{value:?}: {outcome:?}");
+        }
     }
 
     #[test]
     fn oversized_bodies_are_rejected_without_allocation() {
         let outcome = parse_raw(b"POST / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n");
-        assert!(matches!(outcome, ReadOutcome::TooLarge));
+        assert!(matches!(outcome, EofOutcome::Error(ParseError::TooLarge)));
     }
 
     #[test]
@@ -576,7 +502,10 @@ mod tests {
         let mut raw = b"GET /".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEADER_LINE + 8));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        assert!(matches!(parse_raw(&raw), ReadOutcome::TooLarge));
+        assert!(matches!(
+            parse_raw(&raw),
+            EofOutcome::Error(ParseError::TooLarge)
+        ));
     }
 
     #[test]
@@ -589,13 +518,39 @@ mod tests {
               \r\n\
               5\r\nhello\r\n0\r\n\r\n",
         );
-        assert!(matches!(outcome, ReadOutcome::Malformed(_)), "{outcome:?}");
+        assert!(is_malformed(&outcome), "{outcome:?}");
+    }
+
+    #[test]
+    fn differing_duplicate_content_lengths_are_rejected_not_smuggled() {
+        // Honouring the first value would answer the body as a second
+        // request; a proxy honouring the last one sees one request.
+        let outcome = parse_raw(
+            b"POST /problems HTTP/1.1\r\n\
+              Content-Length: 0\r\n\
+              Content-Length: 25\r\n\
+              \r\n\
+              GET /healthz HTTP/1.1\r\n\r\n",
+        );
+        assert!(is_malformed(&outcome), "{outcome:?}");
+        // Identical duplicates frame the body unambiguously.
+        let outcome = parse_raw(
+            b"POST /problems HTTP/1.1\r\n\
+              Content-Length: 2\r\n\
+              Content-Length: 2\r\n\
+              \r\n\
+              {}",
+        );
+        let EofOutcome::Complete(request) = outcome else {
+            panic!("{outcome:?}")
+        };
+        assert_eq!(request.body, b"{}");
     }
 
     #[test]
     fn eof_inside_headers_is_malformed_not_silent() {
         let outcome = parse_raw(b"GET /healthz HTTP/1.1\r\nHost: x\r\n");
-        assert!(matches!(outcome, ReadOutcome::Malformed(_)), "{outcome:?}");
+        assert!(is_malformed(&outcome), "{outcome:?}");
     }
 
     #[test]

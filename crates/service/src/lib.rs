@@ -20,15 +20,11 @@
 //! is retrievable from `/debug/traces`, and grades slower than
 //! [`ServiceConfig::slow_grade`] log their tree to stderr.
 //!
-//! The I/O core is selectable via [`ServiceConfig::io`] (`--io` on the
-//! daemon): **`epoll`** (default on Linux) multiplexes every connection
-//! onto one reactor thread — incremental push parsing, per-connection
-//! state machine, timer-wheel idle/slow-loris timeouts — and executes
-//! complete requests on a bounded CPU worker pool, so thousands of idle
-//! keep-alive sockets cost no threads; **`threads`** is the legacy
-//! blocking thread-per-connection pool, kept for A/B comparison and
-//! non-Linux builds.  Both cores share the parser, router and response
-//! encoder, so their responses are byte-identical.
+//! The daemon has one I/O core and is **Linux-only**: one `epoll` reactor
+//! thread multiplexes every connection — incremental push parsing,
+//! per-connection state machine, timer-wheel idle/slow-loris timeouts —
+//! and executes complete requests on a bounded CPU worker pool, so
+//! thousands of idle keep-alive sockets cost no threads.
 //!
 //! Each registered problem owns an [`afg_core::Autograder`] (shared
 //! read-only across connections) and, unless registered with
@@ -53,14 +49,18 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "afg-service is Linux-only: its I/O core is an epoll reactor; build the daemon on Linux"
+);
+
 pub mod client;
 mod handlers;
 mod http;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod registry;
 mod router;
 mod server;
 
 pub use http::{EofOutcome, Parse, ParseError, Request, RequestParser, Stage, MAX_BODY};
-pub use server::{start, IoMode, ServerHandle, ServiceConfig};
+pub use server::{start, ServerHandle, ServiceConfig};

@@ -7,26 +7,24 @@
 //! Runs until killed.  See the crate docs (or the README's "Grading
 //! service" section) for the endpoint reference and curl examples.
 
-use afg_service::{IoMode, ServiceConfig};
+use afg_service::ServiceConfig;
 
 fn usage() -> String {
-    "usage: afg-serve [--addr HOST:PORT] [--io epoll|threads] [--threads N]\n\
+    "usage: afg-serve [--addr HOST:PORT] [--threads N]\n\
      \x20                [--idle-timeout-ms N] [--header-timeout-ms N]\n\
      \x20                [--queue-depth N] [--max-connections N] [--no-tracing]\n\
      \x20                [--slow-grade-ms N] [--trace-ring N]\n\
      \n\
      --addr HOST:PORT  bind address (default 127.0.0.1:8080; port 0 = ephemeral)\n\
-     --io MODE         I/O core: 'epoll' (reactor + CPU worker pool; default on\n\
-     \x20                Linux) or 'threads' (thread-per-connection)\n\
-     --threads N       worker threads (default 16): CPU workers under epoll,\n\
-     \x20                connection-serving workers under threads\n\
+     --threads N       CPU worker threads executing requests (default 16);\n\
+     \x20                connections are multiplexed by one epoll reactor\n\
      --idle-timeout-ms N    close idle keep-alive connections after N ms\n\
      \x20                (default 5000)\n\
      --header-timeout-ms N  close connections that dribble a request for more\n\
-     \x20                than N ms — slow-loris guard, epoll mode (default 10000)\n\
-     --queue-depth N   parsed-request queue bound before 503 shedding, epoll\n\
-     \x20                mode (default 1024)\n\
-     --max-connections N    open-connection cap before 503 shedding, epoll mode\n\
+     \x20                than N ms — slow-loris guard (default 10000)\n\
+     --queue-depth N   parsed-request queue bound before 503 shedding\n\
+     \x20                (default 1024)\n\
+     --max-connections N    open-connection cap before 503 shedding\n\
      \x20                (default 16384)\n\
      --no-tracing      disable per-request span traces (/debug/traces, X-Afg-Trace-Id)\n\
      --slow-grade-ms N log the span tree of grades slower than N ms to stderr\n\
@@ -47,10 +45,6 @@ fn main() {
             "--addr" => match iter.next() {
                 Some(addr) => config.addr = addr.clone(),
                 None => exit_usage("option '--addr' requires a value"),
-            },
-            "--io" => match iter.next().and_then(|v| IoMode::parse(v)) {
-                Some(io) => config.io = io,
-                None => exit_usage("option '--io' expects 'epoll' or 'threads'"),
             },
             "--threads" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(threads) if threads > 0 => config.threads = threads,
@@ -92,13 +86,11 @@ fn main() {
         }
     }
 
-    let io = config.io;
     match afg_service::start(config) {
         Ok(handle) => {
             println!(
-                "afg-serve listening on http://{} (io={}; POST /problems to register an assignment)",
-                handle.addr(),
-                io.name()
+                "afg-serve listening on http://{} (POST /problems to register an assignment)",
+                handle.addr()
             );
             handle.wait();
         }

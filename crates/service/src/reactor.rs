@@ -27,10 +27,10 @@
 //! buffer with partial-write resumption, and a deadline on a hashed timer
 //! wheel: **idle** keep-alive connections and **mid-request** (slow-loris)
 //! connections time out separately.  Requests are executed strictly one
-//! at a time per connection, preserving pipeline response order and the
-//! blocking path's semantics; responses are encoded by the workers through
-//! the same [`crate::http::encode_response`] as `--io threads`, so the two
-//! modes answer byte-identically.
+//! at a time per connection, preserving pipeline response order; responses
+//! are encoded by the workers through [`crate::http::encode_response`].
+//!
+//! The daemon is Linux-only: epoll is its one I/O core.
 
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_uint};

@@ -1,9 +1,7 @@
 //! Routing: one complete [`Request`] in, one [`Reply`] out.
 //!
-//! The router is pure compute — no sockets, no blocking I/O — so both the
-//! epoll reactor's CPU workers and the legacy thread-per-connection mode
-//! call the same `handle`, and responses are byte-identical across
-//! `--io epoll` / `--io threads` by construction.
+//! The router is pure compute — no sockets, no blocking I/O: the epoll
+//! reactor's CPU workers call `handle` and encode the [`Reply`] it returns.
 
 use afg_json::{Json, ToJson};
 use afg_obs::TraceRing;

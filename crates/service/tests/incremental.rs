@@ -3,9 +3,7 @@
 //! The invariant under attack: *how* bytes arrive must never change *what*
 //! the server answers.  A request delivered byte-at-a-time, split at any
 //! header boundary, or glued to its pipelined successor must produce
-//! responses byte-identical to the same request delivered in one write —
-//! and identical across `--io epoll` and `--io threads`, since both cores
-//! share the parser, router and wire encoder.
+//! responses byte-identical to the same request delivered in one write.
 //!
 //! Also pinned here: the reactor's timer wheel actually defends the
 //! daemon — a slow-loris socket dribbling a header is closed on the
@@ -16,14 +14,10 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use afg_json::Json;
-use afg_service::{start, IoMode, Parse, RequestParser, ServerHandle, ServiceConfig};
+use afg_service::{start, Parse, RequestParser, ServerHandle, ServiceConfig};
 
-const MODES: [IoMode; 2] = [IoMode::Epoll, IoMode::Threads];
-
-fn boot(io: IoMode) -> ServerHandle {
+fn boot() -> ServerHandle {
     start(ServiceConfig {
-        io,
         threads: 2,
         keep_alive_timeout: Duration::from_millis(400),
         ..ServiceConfig::default()
@@ -109,36 +103,25 @@ fn every_split_boundary_parses_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-level: delivery shape vs. response bytes, in both I/O modes
+// Wire-level: delivery shape vs. response bytes
 // ---------------------------------------------------------------------------
 
 #[test]
 fn byte_at_a_time_delivery_answers_identically_in_both_modes() {
     let raw: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
-    let mut responses = Vec::new();
-    for io in MODES {
-        let handle = boot(io);
-        let whole = exchange_chunked(handle.addr(), &[raw]);
-        let dribbled: Vec<&[u8]> = raw.chunks(1).collect();
-        let trickled = exchange_chunked(handle.addr(), &dribbled);
-        assert_eq!(
-            whole,
-            trickled,
-            "{}: byte-at-a-time delivery changed the response",
-            io.name()
-        );
-        assert!(
-            whole.starts_with("HTTP/1.1 200 "),
-            "{}: expected a 200, got:\n{whole}",
-            io.name()
-        );
-        responses.push(whole);
-        handle.shutdown();
-    }
+    let handle = boot();
+    let whole = exchange_chunked(handle.addr(), &[raw]);
+    let dribbled: Vec<&[u8]> = raw.chunks(1).collect();
+    let trickled = exchange_chunked(handle.addr(), &dribbled);
     assert_eq!(
-        responses[0], responses[1],
-        "epoll and threads modes must answer /healthz byte-identically"
+        whole, trickled,
+        "byte-at-a-time delivery changed the response"
     );
+    assert!(
+        whole.starts_with("HTTP/1.1 200 "),
+        "expected a 200, got:\n{whole}"
+    );
+    handle.shutdown();
 }
 
 #[test]
@@ -146,30 +129,19 @@ fn pipelined_requests_are_answered_in_order_in_both_modes() {
     let mut raw = Vec::new();
     raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     raw.extend_from_slice(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
-    // The final request must have a deterministic body (`/stats` carries
-    // `uptime_ms`) so the cross-mode comparison can be byte-exact.
     raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
-    let mut responses = Vec::new();
-    for io in MODES {
-        let handle = boot(io);
-        let response = exchange_chunked(handle.addr(), &[&raw]);
-        let statuses: Vec<&str> = response
-            .match_indices("HTTP/1.1 ")
-            .map(|(at, _)| &response[at + 9..at + 12])
-            .collect();
-        assert_eq!(
-            statuses,
-            vec!["200", "404", "200"],
-            "{}: pipelined responses out of order:\n{response}",
-            io.name()
-        );
-        responses.push(response);
-        handle.shutdown();
-    }
+    let handle = boot();
+    let response = exchange_chunked(handle.addr(), &[&raw]);
+    let statuses: Vec<&str> = response
+        .match_indices("HTTP/1.1 ")
+        .map(|(at, _)| &response[at + 9..at + 12])
+        .collect();
     assert_eq!(
-        responses[0], responses[1],
-        "epoll and threads modes must answer the pipeline byte-identically"
+        statuses,
+        vec!["200", "404", "200"],
+        "pipelined responses out of order:\n{response}"
     );
+    handle.shutdown();
 }
 
 #[test]
@@ -177,73 +149,21 @@ fn over_limit_bodies_are_rejected_identically_in_both_modes() {
     // Headers dribbled in two chunks, declaring a body beyond MAX_BODY.
     let head = b"POST /problems HTTP/1.1\r\nHost: x\r\nContent-";
     let rest = b"Length: 999999999\r\n\r\n";
-    let mut responses = Vec::new();
-    for io in MODES {
-        let handle = boot(io);
-        let response = exchange_chunked(handle.addr(), &[head, rest]);
-        assert!(
-            response.starts_with("HTTP/1.1 413 "),
-            "{}: expected 413, got:\n{response}",
-            io.name()
-        );
-        assert!(
-            response.contains("Connection: close"),
-            "{}: a closing rejection must say Connection: close:\n{response}",
-            io.name()
-        );
-        responses.push(response);
-        handle.shutdown();
-    }
-    assert_eq!(responses[0], responses[1]);
-}
-
-/// Grade responses across the two modes, compared as JSON with the
-/// wall-clock field stripped (it is the one legitimately varying field;
-/// trace ids are response *headers*, not body).
-#[test]
-fn grade_responses_are_identical_across_modes_modulo_timing() {
-    fn grade_body(io: IoMode) -> Json {
-        let handle = boot(io);
-        let mut client = afg_service::client::Client::connect(handle.addr()).expect("connect");
-        let (status, _) = client
-            .post(
-                "/problems",
-                &Json::object([("problem", Json::str("compDeriv"))]),
-            )
-            .expect("register");
-        assert_eq!(status, 201);
-        let (status, graded) = client
-            .post(
-                "/problems/compDeriv/grade",
-                &Json::object([(
-                    "source",
-                    Json::str("def computeDeriv(poly):\n    return poly\n"),
-                )]),
-            )
-            .expect("grade");
-        assert_eq!(status, 200);
-        handle.shutdown();
-        match graded {
-            Json::Object(pairs) => Json::Object(
-                pairs
-                    .into_iter()
-                    .filter(|(k, _)| k != "elapsed_ms")
-                    .collect(),
-            ),
-            other => other,
-        }
-    }
-    let epoll = grade_body(IoMode::Epoll);
-    let threads = grade_body(IoMode::Threads);
-    assert_eq!(
-        epoll.to_string(),
-        threads.to_string(),
-        "grade responses must match across I/O modes"
+    let handle = boot();
+    let response = exchange_chunked(handle.addr(), &[head, rest]);
+    assert!(
+        response.starts_with("HTTP/1.1 413 "),
+        "expected 413, got:\n{response}"
     );
+    assert!(
+        response.contains("Connection: close"),
+        "a closing rejection must say Connection: close:\n{response}"
+    );
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel: slow-loris and idle reaping (epoll mode)
+// Timer wheel: slow-loris and idle reaping
 // ---------------------------------------------------------------------------
 
 /// Reads until the peer closes, returning how long that took; panics if it
@@ -271,7 +191,6 @@ fn wait_for_close(stream: &mut TcpStream, limit: Duration) -> Duration {
 #[test]
 fn slow_loris_socket_is_closed_while_concurrent_requests_proceed() {
     let handle = start(ServiceConfig {
-        io: IoMode::Epoll,
         threads: 2,
         header_timeout: Duration::from_millis(250),
         // Idle limit far above the header limit: proves the *header*
@@ -309,7 +228,6 @@ fn slow_loris_socket_is_closed_while_concurrent_requests_proceed() {
 #[test]
 fn idle_keep_alive_connections_are_reaped() {
     let handle = start(ServiceConfig {
-        io: IoMode::Epoll,
         threads: 2,
         keep_alive_timeout: Duration::from_millis(250),
         ..ServiceConfig::default()

@@ -6,22 +6,22 @@
 //! smuggling in miniature.  The most tempting spot to get this wrong is
 //! the over-limit path: a request whose declared `Content-Length` exceeds
 //! the body cap is rejected *before* its body is read, so the server must
-//! either drain those bytes or close the connection.  Both I/O cores
-//! close; these tests pin that down by pipelining a follow-up request
-//! behind the rejected one and asserting it is never misparsed — under
-//! `--io epoll` and `--io threads` alike.
+//! either drain those bytes or close the connection.  The reactor closes;
+//! these tests pin that down by pipelining a follow-up request behind the
+//! rejected one and asserting it is never misparsed.  The same goes for
+//! ambiguous framing: two differing `Content-Length` headers must not let
+//! a smuggled body be answered as a request of its own.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use afg_service::{start, IoMode, ServiceConfig};
+use afg_service::{start, ServiceConfig};
 
 /// Sends raw bytes on one connection and collects everything the server
 /// sends back until it closes or idles out.
-fn raw_exchange(io: IoMode, raw: &[u8]) -> String {
+fn raw_exchange(raw: &[u8]) -> String {
     let handle = start(ServiceConfig {
-        io,
         threads: 2,
         keep_alive_timeout: Duration::from_millis(300),
         ..ServiceConfig::default()
@@ -55,7 +55,8 @@ fn status_codes(response: &str) -> Vec<&str> {
         .collect()
 }
 
-fn over_limit_content_length_gets_413_and_a_safe_connection_state(io: IoMode) {
+#[test]
+fn over_limit_413_is_safe_under_epoll() {
     // Declared Content-Length far above MAX_BODY, followed by bytes that —
     // if the server kept reading the stream as requests without draining
     // the body — would be misparsed: first some body garbage (an invalid
@@ -70,7 +71,7 @@ fn over_limit_content_length_gets_413_and_a_safe_connection_state(io: IoMode) {
     raw.extend_from_slice(b"this is body garbage that must not become a request\r\n");
     raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
 
-    let response = raw_exchange(io, &raw);
+    let response = raw_exchange(&raw);
     assert!(
         response.starts_with("HTTP/1.1 413 "),
         "over-limit request must be rejected with 413, got:\n{response}"
@@ -100,7 +101,8 @@ fn over_limit_content_length_gets_413_and_a_safe_connection_state(io: IoMode) {
     }
 }
 
-fn within_limit_bodies_keep_the_connection_in_sync(io: IoMode) {
+#[test]
+fn within_limit_pipelining_stays_in_sync_under_epoll() {
     // The positive control: a request whose body IS fully read must leave
     // the connection aligned so the pipelined follow-up is answered.
     let body = br#"{"source": 1}"#;
@@ -115,7 +117,7 @@ fn within_limit_bodies_keep_the_connection_in_sync(io: IoMode) {
     raw.extend_from_slice(body);
     raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
 
-    let response = raw_exchange(io, &raw);
+    let response = raw_exchange(&raw);
     assert_eq!(
         status_codes(&response),
         vec!["404", "200"],
@@ -124,21 +126,31 @@ fn within_limit_bodies_keep_the_connection_in_sync(io: IoMode) {
 }
 
 #[test]
-fn over_limit_413_is_safe_under_epoll() {
-    over_limit_content_length_gets_413_and_a_safe_connection_state(IoMode::Epoll);
-}
+fn differing_duplicate_content_lengths_get_exactly_one_response() {
+    // `Content-Length: 0` then a second `Content-Length` covering a
+    // complete `GET /healthz` as the body.  A server honouring the first
+    // value would answer that body as a request of its own (400 then 200),
+    // while a proxy honouring the last value forwarded one request.
+    let smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    let mut raw = format!(
+        "POST /problems HTTP/1.1\r\n\
+         Host: x\r\n\
+         Content-Length: 0\r\n\
+         Content-Length: {}\r\n\
+         \r\n",
+        smuggled.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(smuggled);
 
-#[test]
-fn over_limit_413_is_safe_under_threads() {
-    over_limit_content_length_gets_413_and_a_safe_connection_state(IoMode::Threads);
-}
-
-#[test]
-fn within_limit_pipelining_stays_in_sync_under_epoll() {
-    within_limit_bodies_keep_the_connection_in_sync(IoMode::Epoll);
-}
-
-#[test]
-fn within_limit_pipelining_stays_in_sync_under_threads() {
-    within_limit_bodies_keep_the_connection_in_sync(IoMode::Threads);
+    let response = raw_exchange(&raw);
+    assert_eq!(
+        status_codes(&response),
+        vec!["400"],
+        "ambiguous framing must get exactly one response:\n{response}"
+    );
+    assert!(
+        response.contains("Connection: close"),
+        "the rejection must close the connection:\n{response}"
+    );
 }

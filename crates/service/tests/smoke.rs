@@ -474,5 +474,40 @@ fn api_errors_are_json_with_proper_status_codes() {
         .unwrap();
     assert_eq!(status, 404);
 
+    // A time budget too large for a `Duration` is a client error naming
+    // the field — at the top level and inside an escalation tier — never
+    // a handler panic answered with 500.
+    let huge = Json::Float(1e300);
+    let (status, body) = client
+        .post(
+            "/problems",
+            &Json::object([
+                ("problem", Json::str("compDeriv")),
+                ("time_budget_ms", huge.clone()),
+            ]),
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let message = body.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("time_budget_ms"), "{message}");
+    let (status, body) = client
+        .post(
+            "/problems",
+            &Json::object([
+                ("problem", Json::str("compDeriv")),
+                (
+                    "escalation",
+                    Json::Array(vec![Json::object([("time_budget_ms", huge)])]),
+                ),
+            ]),
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let message = body.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("escalation[0]") && message.contains("time_budget_ms"),
+        "{message}"
+    );
+
     handle.shutdown();
 }
