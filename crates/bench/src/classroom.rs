@@ -201,7 +201,6 @@ pub fn classroom_json(
                 Json::object([
                     ("sweeps", run.totals.sweeps.to_json()),
                     ("sweep_inputs", run.totals.sweep_inputs.to_json()),
-                    ("compiled", Json::Bool(run.totals.sweep_compiled)),
                     ("sat_ms", run.sat_elapsed.to_json()),
                     ("verify_ms", run.verify_elapsed.to_json()),
                 ]),

@@ -18,8 +18,7 @@ use afg_interp::{
 };
 
 /// Runs `program` on `args` under both back ends and asserts result,
-/// output and fuel agreement.  Programs the compiler cannot lower are
-/// skipped (they fall back to the tree walker in production).
+/// output and fuel agreement.
 fn assert_backends_agree(
     program: &afg_ast::Program,
     entry: &str,
@@ -27,9 +26,8 @@ fn assert_backends_agree(
     limits: ExecLimits,
     context: &str,
 ) {
-    let Some(compiled) = CompiledProgram::from_program(program, Some(entry)) else {
-        return;
-    };
+    let compiled = CompiledProgram::from_program(program, Some(entry))
+        .unwrap_or_else(|| panic!("every program with an entry compiles ({context})"));
     let mut vm = Vm::new(limits);
     let vm_result = vm.run(&compiled, args);
     let mut interp = Interpreter::with_limits(program, limits);
@@ -159,9 +157,8 @@ fn fuel_exhaustion_parity_across_budgets_on_corpus_references() {
         }) else {
             continue;
         };
-        let Some(compiled) = CompiledProgram::from_program(&reference, Some(problem.entry)) else {
-            continue;
-        };
+        let compiled = CompiledProgram::from_program(&reference, Some(problem.entry))
+            .expect("references compile");
         for fuel in 1..200 {
             let limits = ExecLimits {
                 fuel,

@@ -73,9 +73,6 @@ pub struct WorkerStats {
     /// Candidate executions across those sweeps — one per
     /// (assignment, input) pair the equivalence sessions ran.
     pub sweep_inputs: u64,
-    /// Whether any of this worker's searches ran candidates on the
-    /// compiled bytecode VM rather than the tree walker.
-    pub sweep_compiled: bool,
 }
 
 impl WorkerStats {
@@ -101,7 +98,6 @@ impl WorkerStats {
                 if cache != Some(true) {
                     self.sweeps += feedback.stats.sweeps;
                     self.sweep_inputs += feedback.stats.sweep_inputs;
-                    self.sweep_compiled |= feedback.stats.sweep_compiled;
                 }
             }
             GradeOutcome::CannotFix => self.cannot_fix += 1,
@@ -137,7 +133,6 @@ impl WorkerStats {
         self.transfer_hits += other.transfer_hits;
         self.sweeps += other.sweeps;
         self.sweep_inputs += other.sweep_inputs;
-        self.sweep_compiled |= other.sweep_compiled;
     }
 }
 

@@ -43,7 +43,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use afg_ast::canon::{canonical_source, fnv1a64, skeleton_source};
 use afg_ast::Program;
@@ -195,14 +195,11 @@ impl FingerprintCache {
                 inflight.insert(key.to_string());
                 return Some(InflightGuard { cache: self, key });
             }
-            // Bounded waits so an aborted grading (panicked worker whose
-            // guard already cleaned up, spurious wakeups, …) can never
-            // wedge a waiter; each wakeup re-checks the published map.
-            let (guard, _) = self
-                .inflight_done
-                .wait_timeout(inflight, Duration::from_millis(50))
-                .expect("inflight lock");
-            inflight = guard;
+            // The claimant's guard removes the key and notifies on drop,
+            // even on unwind, so a finished grading always wakes us: we
+            // replay its published entry, or claim the key ourselves when
+            // it published none.  Spurious wakeups just loop.
+            inflight = self.inflight_done.wait(inflight).expect("inflight lock");
             if self.entries.read().expect("cache lock").contains_key(key) {
                 return None;
             }
@@ -920,6 +917,24 @@ def computeDeriv(poly_list_int):
             .map(|(o, _)| o.feedback().expect("feedback").to_string())
             .collect();
         assert!(rendered.iter().all(|r| r == &rendered[0]));
+    }
+
+    #[test]
+    fn a_waiter_claims_the_key_when_the_claimant_publishes_nothing() {
+        let cache = FingerprintCache::new();
+        let claimed = |cache: &FingerprintCache| cache.inflight.lock().unwrap().contains("k");
+        let first = cache.claim_or_wait("k").expect("uncontended claim");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.claim_or_wait("k"));
+            // Let the waiter block, then give the claim up unpublished, as
+            // an uncacheable outcome or a panicking grader does.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(first);
+            let second = waiter.join().unwrap().expect("the waiter claims the key");
+            assert!(claimed(&cache));
+            drop(second);
+        });
+        assert!(!claimed(&cache));
     }
 
     #[test]

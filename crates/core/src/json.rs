@@ -71,7 +71,6 @@ impl ToJson for Feedback {
                     ("restarts", self.stats.restarts.to_json()),
                     ("sweeps", self.stats.sweeps.to_json()),
                     ("sweep_inputs", self.stats.sweep_inputs.to_json()),
-                    ("sweep_compiled", Json::Bool(self.stats.sweep_compiled)),
                     ("sweep_cache_hits", self.stats.sweep_cache_hits.to_json()),
                     ("sweep_cache_nodes", self.stats.sweep_cache_nodes.to_json()),
                     ("strategy", Json::str(self.stats.strategy)),
@@ -116,7 +115,6 @@ impl ToJson for WorkerStats {
             ("transfer_hits", self.transfer_hits.to_json()),
             ("sweeps", self.sweeps.to_json()),
             ("sweep_inputs", self.sweep_inputs.to_json()),
-            ("sweep_compiled", Json::Bool(self.sweep_compiled)),
         ])
     }
 }
@@ -149,10 +147,6 @@ impl FromJson for WorkerStats {
             // Likewise absent before compiled verification sweeps.
             sweeps: count("sweeps").unwrap_or(0) as u64,
             sweep_inputs: count("sweep_inputs").unwrap_or(0) as u64,
-            sweep_compiled: json
-                .get("sweep_compiled")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
         })
     }
 }
@@ -341,7 +335,6 @@ mod tests {
             transfer_hits: 2,
             sweeps: 17,
             sweep_inputs: 420,
-            sweep_compiled: true,
         };
         let doc = parse_json(&stats.to_json().to_string()).unwrap();
         assert_eq!(WorkerStats::from_json(&doc).unwrap(), stats);

@@ -216,8 +216,7 @@ impl ChoiceProgram {
     /// This materialises a full AST clone and is therefore the *cold path*:
     /// the synthesis hot loop evaluates candidates on the compiled choice
     /// program and only concretises the final solution for feedback
-    /// rendering (and, for programs the compiler cannot lower, each
-    /// candidate it verifies).  [`instrument::concretize_calls`] counts the
+    /// rendering.  [`instrument::concretize_calls`] counts the
     /// calls made by the current thread so tests can assert the hot loop
     /// stays cold.
     pub fn concretize(&self, assignment: &ChoiceAssignment) -> Program {

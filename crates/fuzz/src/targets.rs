@@ -353,11 +353,8 @@ fn run_vm(data: &[u8]) -> Verdict {
         return Verdict::Rejected("no function definition".to_string());
     };
     let entry = func.name.clone();
-    let Some(compiled) = CompiledProgram::from_program(&program, Some(&entry)) else {
-        // Programs the compiler cannot lower fall back to the tree walker
-        // in production, so there is nothing to compare.
-        return Verdict::Rejected("not compilable to bytecode".to_string());
-    };
+    let compiled =
+        CompiledProgram::from_program(&program, Some(&entry)).expect("the entry function exists");
     let params: Vec<_> = func.params.iter().map(|p| p.ty.clone()).collect();
     let limits = ExecLimits::fast();
     let arg_tuples = afg_interp::InputSpace::tiny().enumerate_args(&params);
@@ -461,5 +458,16 @@ mod tests {
             b"def f_int(x):\n    if x > 0:\n        return x\n    return 0 - x\n",
         );
         assert_eq!(verdict, Verdict::Ok);
+    }
+
+    #[test]
+    fn vm_target_agrees_on_index_receiver_method_calls() {
+        for seed in [
+            &include_bytes!("../../../fuzz/corpus/vm/index_append.mpy")[..],
+            include_bytes!("../../../fuzz/corpus/vm/nested_index_append.mpy"),
+            include_bytes!("../../../fuzz/corpus/vm/index_pop.mpy"),
+        ] {
+            assert_eq!(run_target(TargetKind::Vm, seed), Verdict::Ok);
+        }
     }
 }

@@ -22,12 +22,12 @@
 //! candidate is concretized.  The `properties` integration test enforces
 //! result + output + fuel agreement differentially.
 //!
-//! Programs using a construct the compiler does not support (currently:
-//! mutating method calls whose receiver is an index expression or is
-//! itself choice-bearing, where the tree walker re-evaluates the write-back
-//! target) fail to compile; callers fall back to concretizing the
-//! candidate and running the tree walker, which remains the semantic
-//! ground truth.
+//! Compilation is total: every parsed program lowers, including mutating
+//! method calls whose receiver is an index chain (`a[i].append(x)`) or is
+//! itself choice-bearing, whose write-back re-evaluates the receiver's
+//! location exactly like the tree walker's `assign`.  The tree walker
+//! stays the semantic ground truth the differential tests and the `vm`
+//! fuzz target check this VM against.
 
 use std::collections::HashMap;
 
@@ -162,12 +162,14 @@ enum Instr {
         name: u32,
         argc: u32,
     },
-    /// Method call; `wb_slot` receives the mutated receiver (u32::MAX: the
-    /// receiver has no assignable location and the mutation is dropped).
+    /// Method call.  `[.., receiver, args..]` → `[.., result, receiver']`
+    /// falling through into the receiver's write-back code when the call
+    /// mutated the receiver, else `[.., result]` and a jump to `skip`, past
+    /// the write-back (the tree walker only re-assigns on mutation).
     CallMethod {
         name: u32,
         argc: u32,
-        wb_slot: u32,
+        skip: usize,
     },
     /// Method call on a variable receiver, run **in place** on the slot —
     /// no receiver clone, no write-back (`v.append(x)` goes from O(len)
@@ -240,9 +242,9 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Compiles a plain MPY program around its entry function.  Returns
-    /// `None` when the program has no entry or uses an unsupported
-    /// construct — callers fall back to the tree walker.
+    /// Compiles a plain MPY program around its entry function.  Every
+    /// construct lowers; the result is `None` only when the program defines
+    /// no function, so there is no entry to run.
     pub fn from_program(program: &Program, entry: Option<&str>) -> Option<CompiledProgram> {
         let entry_index = program
             .funcs
@@ -253,16 +255,17 @@ impl CompiledProgram {
             choice_entry: None,
             func_names: program.funcs.iter().map(|f| f.name.clone()).collect(),
         };
-        let mut funcs = Vec::with_capacity(program.funcs.len());
-        for func in &program.funcs {
-            funcs.push(compile_func(func, &resolver, &mut pools).ok()?);
-        }
+        let funcs = program
+            .funcs
+            .iter()
+            .map(|func| compile_func(func, &resolver, &mut pools))
+            .collect();
         Some(pools.finish(funcs, entry_index))
     }
 
     /// Compiles a choice program: the choice-bearing entry function plus
-    /// the student's helpers.  Returns `None` on unsupported constructs.
-    pub fn from_choice(program: &ChoiceProgram) -> Option<CompiledProgram> {
+    /// the student's helpers.
+    pub fn from_choice(program: &ChoiceProgram) -> CompiledProgram {
         let mut pools = Pools::default();
         let mut func_names = vec![program.func.name.clone()];
         func_names.extend(program.other_funcs.iter().map(|f| f.name.clone()));
@@ -270,11 +273,11 @@ impl CompiledProgram {
             choice_entry: Some(program.func.name.clone()),
             func_names,
         };
-        let mut funcs = vec![compile_cfunc(&program.func, &resolver, &mut pools).ok()?];
+        let mut funcs = vec![compile_cfunc(&program.func, &resolver, &mut pools)];
         for func in &program.other_funcs {
-            funcs.push(compile_func(func, &resolver, &mut pools).ok()?);
+            funcs.push(compile_func(func, &resolver, &mut pools));
         }
-        Some(pools.finish(funcs, 0))
+        pools.finish(funcs, 0)
     }
 
     /// Number of distinct choice sites compiled to indexed dispatch.
@@ -842,20 +845,18 @@ impl Vm {
                         }
                     }
                 }
-                Instr::CallMethod {
-                    name,
-                    argc,
-                    wb_slot,
-                } => {
+                Instr::CallMethod { name, argc, skip } => {
                     let start = self.stack.len() - argc as usize;
                     let args: Vec<Value> = self.stack.drain(start..).collect();
                     let mut receiver = self.stack.pop().expect("receiver");
                     let (result, mutated) =
                         builtins::call_method(&mut receiver, &program.names[name as usize], &args)?;
-                    if mutated && wb_slot != u32::MAX {
-                        self.slots[slot_base + wb_slot as usize] = Some(receiver);
-                    }
                     self.stack.push(result);
+                    if mutated {
+                        self.stack.push(receiver);
+                    } else {
+                        pc = skip;
+                    }
                 }
                 Instr::CallMethodSlot { name, argc, slot } => {
                     let start = self.stack.len() - argc as usize;
@@ -989,11 +990,6 @@ fn range_iter(args: &[Value]) -> Result<VmIter, RuntimeError> {
 // Compiler
 // ---------------------------------------------------------------------------
 
-/// Marker: the program uses a construct the compiler does not lower.
-struct Unsupported;
-
-type Compiled<T = ()> = Result<T, Unsupported>;
-
 #[derive(Default)]
 struct Pools {
     consts: Vec<Value>,
@@ -1115,24 +1111,20 @@ struct FnCompiler<'a> {
     fence: usize,
 }
 
-fn compile_func(func: &FuncDef, resolver: &Resolver, pools: &mut Pools) -> Compiled<CompiledFunc> {
+fn compile_func(func: &FuncDef, resolver: &Resolver, pools: &mut Pools) -> CompiledFunc {
     let mut c = FnCompiler::new(pools, resolver);
     let param_slots: Vec<u32> = func.params.iter().map(|p| c.slot(&p.name)).collect();
-    c.block(&func.body)?;
+    c.block(&func.body);
     c.emit(Instr::ReturnNone);
-    Ok(c.finish(func.name.clone(), param_slots))
+    c.finish(func.name.clone(), param_slots)
 }
 
-fn compile_cfunc(
-    func: &afg_eml::CFuncDef,
-    resolver: &Resolver,
-    pools: &mut Pools,
-) -> Compiled<CompiledFunc> {
+fn compile_cfunc(func: &afg_eml::CFuncDef, resolver: &Resolver, pools: &mut Pools) -> CompiledFunc {
     let mut c = FnCompiler::new(pools, resolver);
     let param_slots: Vec<u32> = func.params.iter().map(|p| c.slot(&p.name)).collect();
-    c.cblock(&func.body)?;
+    c.cblock(&func.body);
     c.emit(Instr::ReturnNone);
-    Ok(c.finish(func.name.clone(), param_slots))
+    c.finish(func.name.clone(), param_slots)
 }
 
 impl<'a> FnCompiler<'a> {
@@ -1227,7 +1219,8 @@ impl<'a> FnCompiler<'a> {
             | Instr::CmpJumpFalse { target: t, .. }
             | Instr::CmpChoiceJumpFalse { target: t, .. }
             | Instr::CmpSlotJumpFalse { target: t, .. }
-            | Instr::ForNext { end: t, .. } => *t = target,
+            | Instr::ForNext { end: t, .. }
+            | Instr::CallMethod { skip: t, .. } => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -1244,44 +1237,41 @@ impl<'a> FnCompiler<'a> {
 
     // -- plain MPY ---------------------------------------------------------
 
-    fn block(&mut self, stmts: &[Stmt]) -> Compiled {
+    fn block(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
-            self.stmt(stmt)?;
+            self.stmt(stmt);
         }
-        Ok(())
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Compiled {
+    fn stmt(&mut self, stmt: &Stmt) {
         self.emit(Instr::Charge);
         match &stmt.kind {
             StmtKind::Assign(target, value) => {
-                self.expr(value)?;
+                self.expr(value);
                 self.assign_target(target)
             }
             StmtKind::AugAssign(target, op, value) => {
-                self.expr(value)?;
-                self.read_target(target)?;
+                self.expr(value);
+                self.read_target(target);
                 self.emit(Instr::BinaryOpAug(*op));
                 self.assign_target(target)
             }
             StmtKind::ExprStmt(expr) => {
-                self.expr(expr)?;
+                self.expr(expr);
                 self.emit(Instr::Pop);
-                Ok(())
             }
             StmtKind::If(cond, then_body, else_body) => {
-                self.expr(cond)?;
+                self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.block(then_body)?;
+                self.block(then_body);
                 let jend = self.emit(Instr::Jump(0));
                 self.patch(jf);
-                self.block(else_body)?;
+                self.block(else_body);
                 self.patch(jend);
-                Ok(())
             }
             StmtKind::While(cond, body) => {
                 let l_cond = self.here();
-                self.expr(cond)?;
+                self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
                 // Per-iteration charge after the condition is truthy.
                 self.emit(Instr::Charge);
@@ -1289,17 +1279,16 @@ impl<'a> FnCompiler<'a> {
                     continue_target: l_cond,
                     break_patches: Vec::new(),
                 });
-                self.block(body)?;
+                self.block(body);
                 self.emit(Instr::Jump(l_cond));
                 let ctx = self.loops.pop().expect("loop ctx");
                 self.patch(jf);
                 for b in ctx.break_patches {
                     self.patch(b);
                 }
-                Ok(())
             }
             StmtKind::For(var, iter, body) => {
-                self.iter_prep(iter)?;
+                self.iter_prep(iter);
                 let slot = self.slot(var);
                 let l_next = self.here();
                 let fornext = self.emit(Instr::ForNext { slot, end: 0 });
@@ -1307,7 +1296,7 @@ impl<'a> FnCompiler<'a> {
                     continue_target: l_next,
                     break_patches: Vec::new(),
                 });
-                self.block(body)?;
+                self.block(body);
                 self.emit(Instr::Jump(l_next));
                 let ctx = self.loops.pop().expect("loop ctx");
                 self.patch(fornext);
@@ -1315,28 +1304,23 @@ impl<'a> FnCompiler<'a> {
                     self.patch(b);
                 }
                 self.emit(Instr::PopIter);
-                Ok(())
             }
-            StmtKind::Return(expr) => {
-                match expr {
-                    Some(e) => {
-                        self.expr(e)?;
-                        self.emit(Instr::ReturnV);
-                    }
-                    None => {
-                        self.emit(Instr::ReturnNone);
-                    }
+            StmtKind::Return(expr) => match expr {
+                Some(e) => {
+                    self.expr(e);
+                    self.emit(Instr::ReturnV);
                 }
-                Ok(())
-            }
+                None => {
+                    self.emit(Instr::ReturnNone);
+                }
+            },
             StmtKind::Print(args) => {
                 for arg in args {
-                    self.expr(arg)?;
+                    self.expr(arg);
                 }
                 self.emit(Instr::PrintStmt(args.len() as u32));
-                Ok(())
             }
-            StmtKind::Pass => Ok(()),
+            StmtKind::Pass => {}
             StmtKind::Break => {
                 // `Flow::Break` outside a loop propagates to the function
                 // boundary, which returns `None`.
@@ -1353,20 +1337,16 @@ impl<'a> FnCompiler<'a> {
                         self.emit(Instr::ReturnNone);
                     }
                 }
-                Ok(())
             }
-            StmtKind::Continue => {
-                match self.loops.last() {
-                    Some(ctx) => {
-                        let target = ctx.continue_target;
-                        self.emit(Instr::Jump(target));
-                    }
-                    None => {
-                        self.emit(Instr::ReturnNone);
-                    }
+            StmtKind::Continue => match self.loops.last() {
+                Some(ctx) => {
+                    let target = ctx.continue_target;
+                    self.emit(Instr::Jump(target));
                 }
-                Ok(())
-            }
+                None => {
+                    self.emit(Instr::ReturnNone);
+                }
+            },
         }
     }
 
@@ -1374,25 +1354,23 @@ impl<'a> FnCompiler<'a> {
     /// the stack.  Mirrors `Interpreter::assign` exactly, including the
     /// index-then-base evaluation order and the re-evaluating write-back
     /// chain for nested index targets.
-    fn assign_target(&mut self, target: &Target) -> Compiled {
+    fn assign_target(&mut self, target: &Target) {
         match target {
             Target::Var(name) => {
                 let slot = self.slot(name);
                 self.emit(Instr::StoreSlot(slot));
-                Ok(())
             }
             Target::Index(base, index) => {
-                self.expr(index)?;
-                self.expr(base)?;
+                self.expr(index);
+                self.expr(base);
                 self.emit(Instr::StoreIndex);
                 self.assign_base(base)
             }
             Target::Tuple(targets) => {
                 self.emit(Instr::Unpack(targets.len() as u32));
                 for t in targets {
-                    self.assign_target(t)?;
+                    self.assign_target(t);
                 }
-                Ok(())
             }
         }
     }
@@ -1400,47 +1378,63 @@ impl<'a> FnCompiler<'a> {
     /// Writes the mutated container on top of the stack back to `base`'s
     /// own location (`expr_as_target` semantics: variables and index
     /// chains are assignable, anything else silently drops the value).
-    fn assign_base(&mut self, base: &Expr) -> Compiled {
+    fn assign_base(&mut self, base: &Expr) {
         match base {
             Expr::Var(name) => {
                 let slot = self.slot(name);
                 self.emit(Instr::StoreSlot(slot));
-                Ok(())
             }
             Expr::Index(inner, index) => {
-                self.expr(index)?;
-                self.expr(inner)?;
+                self.expr(index);
+                self.expr(inner);
                 self.emit(Instr::StoreIndex);
                 self.assign_base(inner)
             }
             _ => {
                 self.emit(Instr::Pop);
-                Ok(())
+            }
+        }
+    }
+
+    /// Choice-bearing counterpart of [`FnCompiler::assign_base`]: the
+    /// write-back to `expr_as_target(concretize(base))`, with choice sites
+    /// dispatching into each option's own write-back.
+    fn cassign_base(&mut self, base: &CExpr) {
+        match base {
+            CExpr::Plain(e) => self.assign_base(e),
+            CExpr::Index(inner, index) => {
+                self.cexpr(index);
+                self.cexpr(inner);
+                self.emit(Instr::StoreIndex);
+                self.cassign_base(inner);
+            }
+            CExpr::Choice(id, options) => {
+                self.choice_dispatch(*id, options.len(), |c, i| c.cassign_base(&options[i]));
+            }
+            _ => {
+                self.emit(Instr::Pop);
             }
         }
     }
 
     /// Mirrors `Interpreter::read_target` (note: base before index, the
     /// opposite of the assignment order).
-    fn read_target(&mut self, target: &Target) -> Compiled {
+    fn read_target(&mut self, target: &Target) {
         match target {
             Target::Var(name) => {
                 let slot = self.slot(name);
                 self.emit(Instr::LoadSlot(slot));
-                Ok(())
             }
             Target::Index(base, index) => {
-                self.expr(base)?;
-                self.expr(index)?;
+                self.expr(base);
+                self.expr(index);
                 self.emit(Instr::LoadIndex);
-                Ok(())
             }
             Target::Tuple(_) => {
                 let e = self.pools.error_idx(RuntimeError::Type(
                     "augmented assignment to a tuple target is not allowed".to_string(),
                 ));
                 self.emit(Instr::Raise(e));
-                Ok(())
             }
         }
     }
@@ -1501,7 +1495,7 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    fn expr(&mut self, expr: &Expr) -> Compiled {
+    fn expr(&mut self, expr: &Expr) {
         self.emit(Instr::Charge);
         match expr {
             Expr::Int(v) => {
@@ -1526,20 +1520,20 @@ impl<'a> FnCompiler<'a> {
             }
             Expr::List(items) => {
                 for item in items {
-                    self.expr(item)?;
+                    self.expr(item);
                 }
                 self.emit(Instr::MakeList(items.len() as u32));
             }
             Expr::Tuple(items) => {
                 for item in items {
-                    self.expr(item)?;
+                    self.expr(item);
                 }
                 self.emit(Instr::MakeTuple(items.len() as u32));
             }
             Expr::Dict(items) => {
                 for (k, v) in items {
-                    self.expr(k)?;
-                    self.expr(v)?;
+                    self.expr(k);
+                    self.expr(v);
                 }
                 self.emit(Instr::MakeDict(items.len() as u32));
             }
@@ -1554,22 +1548,22 @@ impl<'a> FnCompiler<'a> {
                         let slot = self.slot(name);
                         self.emit(Instr::Charge);
                         self.emit(Instr::CheckSlot(slot));
-                        self.expr(index)?;
+                        self.expr(index);
                         self.emit(Instr::LoadIndexSlot(slot));
-                        return Ok(());
+                        return;
                     }
                 }
-                self.expr(base)?;
-                self.expr(index)?;
+                self.expr(base);
+                self.expr(index);
                 self.emit(Instr::LoadIndex);
             }
             Expr::Slice(base, lower, upper) => {
-                self.expr(base)?;
+                self.expr(base);
                 if let Some(e) = lower {
-                    self.expr(e)?;
+                    self.expr(e);
                 }
                 if let Some(e) = upper {
-                    self.expr(e)?;
+                    self.expr(e);
                 }
                 self.emit(Instr::Slice {
                     has_lower: lower.is_some(),
@@ -1577,12 +1571,12 @@ impl<'a> FnCompiler<'a> {
                 });
             }
             Expr::BinOp(op, left, right) => {
-                self.expr(left)?;
-                self.expr(right)?;
+                self.expr(left);
+                self.expr(right);
                 self.emit(Instr::BinaryOp(*op));
             }
             Expr::UnaryOp(op, operand) => {
-                self.expr(operand)?;
+                self.expr(operand);
                 self.emit(Instr::UnaryOpI(*op));
             }
             Expr::Compare(op, left, right) => {
@@ -1592,22 +1586,22 @@ impl<'a> FnCompiler<'a> {
                 // left-side mutation are observed identically.
                 if let Expr::Var(name) = &**right {
                     let slot = self.slot(name);
-                    self.expr(left)?;
+                    self.expr(left);
                     self.emit(Instr::Charge);
                     self.emit(Instr::CompareSlot { op: *op, slot });
-                    return Ok(());
+                    return;
                 }
-                self.expr(left)?;
-                self.expr(right)?;
+                self.expr(left);
+                self.expr(right);
                 self.emit(Instr::CompareOpI(*op));
             }
             Expr::BoolExpr(op, left, right) => {
-                self.expr(left)?;
+                self.expr(left);
                 let j = match op {
                     BoolOp::And => self.emit(Instr::JumpIfFalsePeek(0)),
                     BoolOp::Or => self.emit(Instr::JumpIfTruePeek(0)),
                 };
-                self.expr(right)?;
+                self.expr(right);
                 self.patch(j);
             }
             Expr::Call(name, args) => {
@@ -1622,12 +1616,12 @@ impl<'a> FnCompiler<'a> {
                             let slot = self.slot(var);
                             self.emit(Instr::Charge);
                             self.emit(Instr::LenSlot(slot));
-                            return Ok(());
+                            return;
                         }
                     }
                 }
                 for arg in args {
-                    self.expr(arg)?;
+                    self.expr(arg);
                 }
                 self.call_named(name, args.len());
             }
@@ -1641,7 +1635,7 @@ impl<'a> FnCompiler<'a> {
                         self.emit(Instr::Charge);
                         self.emit(Instr::CheckSlot(slot));
                         for arg in args {
-                            self.expr(arg)?;
+                            self.expr(arg);
                         }
                         let name = self.pools.name_idx(method);
                         self.emit(Instr::CallMethodSlot {
@@ -1649,43 +1643,41 @@ impl<'a> FnCompiler<'a> {
                             argc: args.len() as u32,
                             slot,
                         });
-                        return Ok(());
+                        return;
                     }
                 }
-                let wb_slot = self.method_writeback(recv)?;
-                self.expr(recv)?;
+                self.expr(recv);
                 for arg in args {
-                    self.expr(arg)?;
+                    self.expr(arg);
                 }
-                let name = self.pools.name_idx(method);
-                self.emit(Instr::CallMethod {
-                    name,
-                    argc: args.len() as u32,
-                    wb_slot,
-                });
+                self.call_method(method, args.len(), |c| c.assign_base(recv));
             }
             Expr::IfExpr(body, cond, orelse) => {
-                self.expr(cond)?;
+                self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.expr(body)?;
+                self.expr(body);
                 let jend = self.emit(Instr::Jump(0));
                 self.patch(jf);
-                self.expr(orelse)?;
+                self.expr(orelse);
                 self.patch(jend);
             }
         }
-        Ok(())
     }
 
-    /// Write-back slot for a method-call receiver.  Index-expression
-    /// receivers would need the tree walker's re-evaluating assignment
-    /// chain on mutation — those programs fall back to the tree walker.
-    fn method_writeback(&mut self, recv: &Expr) -> Compiled<u32> {
-        match recv {
-            Expr::Var(name) => Ok(self.slot(name)),
-            Expr::Index(..) => Err(Unsupported),
-            _ => Ok(u32::MAX),
-        }
+    /// Emits a `CallMethod` over the receiver and arguments already on the
+    /// stack, followed by `writeback`, which stores the mutated receiver
+    /// back to its location and runs only when the call mutated it —
+    /// `Interpreter::eval`'s `expr_as_target` re-assignment, index chain
+    /// re-evaluated and all.
+    fn call_method(&mut self, method: &str, argc: usize, writeback: impl FnOnce(&mut Self)) {
+        let name = self.pools.name_idx(method);
+        let call = self.emit(Instr::CallMethod {
+            name,
+            argc: argc as u32,
+            skip: 0,
+        });
+        writeback(self);
+        self.patch(call);
     }
 
     /// Compiles a `for` statement's iterable, leaving an iterator on the
@@ -1694,26 +1686,25 @@ impl<'a> FnCompiler<'a> {
     /// the builtin (a user function of that name shadows it); fuel parity
     /// holds because the call expression charges exactly as before and
     /// neither `CallBuiltin` nor `IterPrep` ever charged.
-    fn iter_prep(&mut self, iter: &Expr) -> Compiled {
+    fn iter_prep(&mut self, iter: &Expr) {
         if let Expr::Call(name, args) = iter {
             if name == "range" && matches!(self.resolver.resolve(name), Callee::Builtin) {
                 self.emit(Instr::Charge);
                 for arg in args {
-                    self.expr(arg)?;
+                    self.expr(arg);
                 }
                 self.emit(Instr::RangePrep(args.len() as u32));
-                return Ok(());
+                return;
             }
         }
-        self.expr(iter)?;
+        self.expr(iter);
         self.emit(Instr::IterPrep);
-        Ok(())
     }
 
     /// Choice-program counterpart of [`FnCompiler::iter_prep`].  A choice
     /// over iterables dispatches into per-option preps, so a `range` under
     /// an error-model choice site still gets the lazy form.
-    fn citer_prep(&mut self, iter: &CExpr) -> Compiled {
+    fn citer_prep(&mut self, iter: &CExpr) {
         match iter {
             CExpr::Plain(e) => self.iter_prep(e),
             CExpr::Choice(id, options) => {
@@ -1724,15 +1715,13 @@ impl<'a> FnCompiler<'a> {
             {
                 self.emit(Instr::Charge);
                 for arg in args {
-                    self.cexpr(arg)?;
+                    self.cexpr(arg);
                 }
                 self.emit(Instr::RangePrep(args.len() as u32));
-                Ok(())
             }
             other => {
-                self.cexpr(other)?;
+                self.cexpr(other);
                 self.emit(Instr::IterPrep);
-                Ok(())
             }
         }
     }
@@ -1773,14 +1762,13 @@ impl<'a> FnCompiler<'a> {
 
     // -- choice-bearing M̃PY -----------------------------------------------
 
-    fn cblock(&mut self, stmts: &[CStmt]) -> Compiled {
+    fn cblock(&mut self, stmts: &[CStmt]) {
         for stmt in stmts {
-            self.cstmt(stmt)?;
+            self.cstmt(stmt);
         }
-        Ok(())
     }
 
-    fn cstmt(&mut self, stmt: &CStmt) -> Compiled {
+    fn cstmt(&mut self, stmt: &CStmt) {
         // Statement-level choices splice the selected block without
         // charging, exactly like `exec_cstmt`.
         if let CStmtKind::ChoiceBlock(id, options) = &stmt.kind {
@@ -1789,50 +1777,47 @@ impl<'a> FnCompiler<'a> {
         self.emit(Instr::Charge);
         match &stmt.kind {
             CStmtKind::Assign(target, value) => {
-                self.cexpr(value)?;
+                self.cexpr(value);
                 self.assign_target(target)
             }
             CStmtKind::AugAssign(target, op, value) => {
-                self.cexpr(value)?;
-                self.read_target(target)?;
+                self.cexpr(value);
+                self.read_target(target);
                 self.emit(Instr::BinaryOpAug(*op));
                 self.assign_target(target)
             }
             CStmtKind::ExprStmt(expr) => {
-                self.cexpr(expr)?;
+                self.cexpr(expr);
                 self.emit(Instr::Pop);
-                Ok(())
             }
             CStmtKind::If(cond, then_body, else_body) => {
-                self.cexpr(cond)?;
+                self.cexpr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.cblock(then_body)?;
+                self.cblock(then_body);
                 let jend = self.emit(Instr::Jump(0));
                 self.patch(jf);
-                self.cblock(else_body)?;
+                self.cblock(else_body);
                 self.patch(jend);
-                Ok(())
             }
             CStmtKind::While(cond, body) => {
                 let l_cond = self.here();
-                self.cexpr(cond)?;
+                self.cexpr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
                 self.emit(Instr::Charge);
                 self.loops.push(LoopCtx {
                     continue_target: l_cond,
                     break_patches: Vec::new(),
                 });
-                self.cblock(body)?;
+                self.cblock(body);
                 self.emit(Instr::Jump(l_cond));
                 let ctx = self.loops.pop().expect("loop ctx");
                 self.patch(jf);
                 for b in ctx.break_patches {
                     self.patch(b);
                 }
-                Ok(())
             }
             CStmtKind::For(var, iter, body) => {
-                self.citer_prep(iter)?;
+                self.citer_prep(iter);
                 let slot = self.slot(var);
                 let l_next = self.here();
                 let fornext = self.emit(Instr::ForNext { slot, end: 0 });
@@ -1840,7 +1825,7 @@ impl<'a> FnCompiler<'a> {
                     continue_target: l_next,
                     break_patches: Vec::new(),
                 });
-                self.cblock(body)?;
+                self.cblock(body);
                 self.emit(Instr::Jump(l_next));
                 let ctx = self.loops.pop().expect("loop ctx");
                 self.patch(fornext);
@@ -1848,56 +1833,45 @@ impl<'a> FnCompiler<'a> {
                     self.patch(b);
                 }
                 self.emit(Instr::PopIter);
-                Ok(())
             }
-            CStmtKind::Return(expr) => {
-                match expr {
-                    Some(e) => {
-                        self.cexpr(e)?;
-                        self.emit(Instr::ReturnV);
-                    }
-                    None => {
-                        self.emit(Instr::ReturnNone);
-                    }
+            CStmtKind::Return(expr) => match expr {
+                Some(e) => {
+                    self.cexpr(e);
+                    self.emit(Instr::ReturnV);
                 }
-                Ok(())
-            }
+                None => {
+                    self.emit(Instr::ReturnNone);
+                }
+            },
             CStmtKind::Print(args) => {
                 for arg in args {
-                    self.cexpr(arg)?;
+                    self.cexpr(arg);
                 }
                 self.emit(Instr::PrintStmt(args.len() as u32));
-                Ok(())
             }
-            CStmtKind::Pass => Ok(()),
-            CStmtKind::Break => {
-                match self.loops.last_mut() {
-                    Some(_) => {
-                        let j = self.emit(Instr::Jump(0));
-                        self.loops
-                            .last_mut()
-                            .expect("loop ctx")
-                            .break_patches
-                            .push(j);
-                    }
-                    None => {
-                        self.emit(Instr::ReturnNone);
-                    }
+            CStmtKind::Pass => {}
+            CStmtKind::Break => match self.loops.last_mut() {
+                Some(_) => {
+                    let j = self.emit(Instr::Jump(0));
+                    self.loops
+                        .last_mut()
+                        .expect("loop ctx")
+                        .break_patches
+                        .push(j);
                 }
-                Ok(())
-            }
-            CStmtKind::Continue => {
-                match self.loops.last() {
-                    Some(ctx) => {
-                        let target = ctx.continue_target;
-                        self.emit(Instr::Jump(target));
-                    }
-                    None => {
-                        self.emit(Instr::ReturnNone);
-                    }
+                None => {
+                    self.emit(Instr::ReturnNone);
                 }
-                Ok(())
-            }
+            },
+            CStmtKind::Continue => match self.loops.last() {
+                Some(ctx) => {
+                    let target = ctx.continue_target;
+                    self.emit(Instr::Jump(target));
+                }
+                None => {
+                    self.emit(Instr::ReturnNone);
+                }
+            },
             CStmtKind::ChoiceBlock(..) => unreachable!("handled before charging"),
         }
     }
@@ -1909,15 +1883,15 @@ impl<'a> FnCompiler<'a> {
         &mut self,
         id: ChoiceId,
         count: usize,
-        mut body: impl FnMut(&mut Self, usize) -> Compiled,
-    ) -> Compiled {
+        mut body: impl FnMut(&mut Self, usize),
+    ) {
         let site = self.pools.site(id);
         let dispatch = self.emit(Instr::ChoiceJump { site, table: 0 });
         let mut targets = Vec::with_capacity(count);
         let mut joins = Vec::with_capacity(count);
         for i in 0..count {
             targets.push(self.here());
-            body(self, i)?;
+            body(self, i);
             joins.push(self.emit(Instr::Jump(0)));
         }
         for j in joins {
@@ -1928,10 +1902,9 @@ impl<'a> FnCompiler<'a> {
         if let Instr::ChoiceJump { table: t, .. } = &mut self.code[dispatch] {
             *t = table;
         }
-        Ok(())
     }
 
-    fn cexpr(&mut self, expr: &CExpr) -> Compiled {
+    fn cexpr(&mut self, expr: &CExpr) {
         match expr {
             CExpr::Plain(e) => return self.expr(e),
             CExpr::Choice(id, options) => {
@@ -1944,13 +1917,13 @@ impl<'a> FnCompiler<'a> {
             CExpr::Plain(_) | CExpr::Choice(..) => unreachable!("handled before charging"),
             CExpr::List(items) => {
                 for item in items {
-                    self.cexpr(item)?;
+                    self.cexpr(item);
                 }
                 self.emit(Instr::MakeList(items.len() as u32));
             }
             CExpr::Tuple(items) => {
                 for item in items {
-                    self.cexpr(item)?;
+                    self.cexpr(item);
                 }
                 self.emit(Instr::MakeTuple(items.len() as u32));
             }
@@ -1963,22 +1936,22 @@ impl<'a> FnCompiler<'a> {
                         let slot = self.slot(name);
                         self.emit(Instr::Charge);
                         self.emit(Instr::CheckSlot(slot));
-                        self.cexpr(index)?;
+                        self.cexpr(index);
                         self.emit(Instr::LoadIndexSlot(slot));
-                        return Ok(());
+                        return;
                     }
                 }
-                self.cexpr(base)?;
-                self.cexpr(index)?;
+                self.cexpr(base);
+                self.cexpr(index);
                 self.emit(Instr::LoadIndex);
             }
             CExpr::Slice(base, lower, upper) => {
-                self.cexpr(base)?;
+                self.cexpr(base);
                 if let Some(e) = lower {
-                    self.cexpr(e)?;
+                    self.cexpr(e);
                 }
                 if let Some(e) = upper {
-                    self.cexpr(e)?;
+                    self.cexpr(e);
                 }
                 self.emit(Instr::Slice {
                     has_lower: lower.is_some(),
@@ -1986,8 +1959,8 @@ impl<'a> FnCompiler<'a> {
                 });
             }
             CExpr::BinOp(op, left, right) => {
-                self.cexpr(left)?;
-                self.cexpr(right)?;
+                self.cexpr(left);
+                self.cexpr(right);
                 match op {
                     OpChoice::Fixed(op) => {
                         self.emit(Instr::BinaryOp(*op));
@@ -2001,13 +1974,13 @@ impl<'a> FnCompiler<'a> {
                 }
             }
             CExpr::UnaryOp(op, operand) => {
-                self.cexpr(operand)?;
+                self.cexpr(operand);
                 self.emit(Instr::UnaryOpI(*op));
             }
             CExpr::Compare(op, left, right) => {
                 if let CExpr::Plain(Expr::Var(name)) = &**right {
                     let slot = self.slot(name);
-                    self.cexpr(left)?;
+                    self.cexpr(left);
                     self.emit(Instr::Charge);
                     match op {
                         OpChoice::Fixed(op) => {
@@ -2020,10 +1993,10 @@ impl<'a> FnCompiler<'a> {
                             self.emit(Instr::CompareChoiceSlot { site, table, slot });
                         }
                     }
-                    return Ok(());
+                    return;
                 }
-                self.cexpr(left)?;
-                self.cexpr(right)?;
+                self.cexpr(left);
+                self.cexpr(right);
                 match op {
                     OpChoice::Fixed(op) => {
                         self.emit(Instr::CompareOpI(*op));
@@ -2037,12 +2010,12 @@ impl<'a> FnCompiler<'a> {
                 }
             }
             CExpr::BoolExpr(op, left, right) => {
-                self.cexpr(left)?;
+                self.cexpr(left);
                 let j = match op {
                     BoolOp::And => self.emit(Instr::JumpIfFalsePeek(0)),
                     BoolOp::Or => self.emit(Instr::JumpIfTruePeek(0)),
                 };
-                self.cexpr(right)?;
+                self.cexpr(right);
                 self.patch(j);
             }
             CExpr::Call(name, args) => {
@@ -2052,29 +2025,23 @@ impl<'a> FnCompiler<'a> {
                             let slot = self.slot(var);
                             self.emit(Instr::Charge);
                             self.emit(Instr::LenSlot(slot));
-                            return Ok(());
+                            return;
                         }
                     }
                 }
                 for arg in args {
-                    self.cexpr(arg)?;
+                    self.cexpr(arg);
                 }
                 self.call_named(name, args.len());
             }
             CExpr::MethodCall(recv, method, args) => {
-                // Choice-bearing receivers would need concretisation for
-                // the write-back target — fall back to the tree walker.
-                let plain = match &**recv {
-                    CExpr::Plain(e) => e,
-                    _ => return Err(Unsupported),
-                };
-                if let Expr::Var(name) = plain {
+                if let CExpr::Plain(Expr::Var(name)) = &**recv {
                     if !args.iter().any(Self::cmutates_slots) {
                         let slot = self.slot(name);
                         self.emit(Instr::Charge);
                         self.emit(Instr::CheckSlot(slot));
                         for arg in args {
-                            self.cexpr(arg)?;
+                            self.cexpr(arg);
                         }
                         let name = self.pools.name_idx(method);
                         self.emit(Instr::CallMethodSlot {
@@ -2082,32 +2049,25 @@ impl<'a> FnCompiler<'a> {
                             argc: args.len() as u32,
                             slot,
                         });
-                        return Ok(());
+                        return;
                     }
                 }
-                let wb_slot = self.method_writeback(plain)?;
-                self.expr(plain)?;
+                self.cexpr(recv);
                 for arg in args {
-                    self.cexpr(arg)?;
+                    self.cexpr(arg);
                 }
-                let name = self.pools.name_idx(method);
-                self.emit(Instr::CallMethod {
-                    name,
-                    argc: args.len() as u32,
-                    wb_slot,
-                });
+                self.call_method(method, args.len(), |c| c.cassign_base(recv));
             }
             CExpr::IfExpr(body, cond, orelse) => {
-                self.cexpr(cond)?;
+                self.cexpr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.cexpr(body)?;
+                self.cexpr(body);
                 let jend = self.emit(Instr::Jump(0));
                 self.patch(jf);
-                self.cexpr(orelse)?;
+                self.cexpr(orelse);
                 self.patch(jend);
             }
         }
-        Ok(())
     }
 }
 
@@ -2190,14 +2150,72 @@ def computeDeriv(poly):
     }
 
     #[test]
-    fn index_receiver_method_calls_fall_back() {
-        let program = parse_program("def f(xs):\n    xs[0].append(1)\n    return xs\n").unwrap();
-        assert!(CompiledProgram::from_program(&program, Some("f")).is_none());
+    fn index_receiver_method_calls_write_back() {
+        let nested = || {
+            Value::List(vec![
+                Value::List(vec![Value::int_list([1]), Value::int_list([2, 3])]),
+                Value::List(vec![Value::int_list([4])]),
+            ])
+        };
+        let cases: [(&str, Vec<Value>); 7] = [
+            (
+                "def f(xs):\n    xs[0].append(1)\n    return xs\n",
+                vec![Value::List(vec![
+                    Value::int_list([1]),
+                    Value::int_list([2]),
+                ])],
+            ),
+            (
+                "def f(xs):\n    xs[0][1].append(2)\n    return xs\n",
+                vec![nested()],
+            ),
+            (
+                "def f(xs):\n    v = xs[len(xs)-1].pop()\n    return [v, xs]\n",
+                vec![nested()],
+            ),
+            // Non-mutating: no write-back at all.
+            (
+                "def f(xs):\n    return xs[0].count(1) + len(xs)\n",
+                vec![Value::List(vec![Value::int_list([1, 1])])],
+            ),
+            // The write-back re-runs the index expression, side effects
+            // included: the second `ys.pop()` stores into `xs[1]`...
+            (
+                "def f(xs, ys):\n    xs[ys.pop()].append(9)\n    return [xs, ys]\n",
+                vec![
+                    Value::List(vec![Value::int_list([1]), Value::int_list([2])]),
+                    Value::int_list([5, 1, 0]),
+                ],
+            ),
+            // ...or out of range, failing in the write-back itself.
+            (
+                "def f(xs, ys):\n    xs[ys.pop()].append(9)\n    return xs\n",
+                vec![
+                    Value::List(vec![Value::int_list([1])]),
+                    Value::int_list([5, 0]),
+                ],
+            ),
+            // A receiver that is not a location drops the mutation.
+            (
+                "def f(xs):\n    (xs + [[7]])[1].append(8)\n    return xs\n",
+                vec![Value::List(vec![Value::int_list([1])])],
+            ),
+        ];
+        for (source, args) in &cases {
+            assert_same(source, "f", args);
+        }
+        // The out-of-range case really errors, in the write-back.
+        let program = parse_program(cases[5].0).unwrap();
+        let compiled = CompiledProgram::from_program(&program, Some("f")).unwrap();
+        assert!(matches!(
+            Vm::new(ExecLimits::default()).run(&compiled, &cases[5].1),
+            Err(RuntimeError::Index(_))
+        ));
     }
 
     #[test]
     fn fuel_parity_across_budgets() {
-        let source = "\
+        let looped = "\
 def f(n):
     total = 0
     i = 0
@@ -2206,6 +2224,19 @@ def f(n):
         i = i + 1
     return total
 ";
+        let write_back = "\
+def f(n):
+    xs = [[n], []]
+    xs[0].append(1)
+    xs[len(xs) - 1].append(xs[0].pop())
+    return xs
+";
+        for source in [looped, write_back] {
+            fuel_parity(source);
+        }
+    }
+
+    fn fuel_parity(source: &str) {
         let program = parse_program(source).unwrap();
         let compiled = CompiledProgram::from_program(&program, Some("f")).unwrap();
         for fuel in 1..160 {
@@ -2270,7 +2301,7 @@ def f(x):
         args: &[Value],
         limits: ExecLimits,
     ) -> Result<Outcome, RuntimeError> {
-        let compiled = CompiledProgram::from_choice(program).expect("compiles");
+        let compiled = CompiledProgram::from_choice(program);
         let mut vm = Vm::new(limits);
         vm.select(&compiled, assignment);
         let direct = vm.run(&compiled, args);
@@ -2308,7 +2339,7 @@ def f(x):
             .with_rule(library::initr())
             .with_rule(library::ranr1());
         let cp = apply_error_model(&student, Some("iterPower"), &model).unwrap();
-        let compiled = CompiledProgram::from_choice(&cp).expect("compiles");
+        let compiled = CompiledProgram::from_choice(&cp);
         assert!(compiled.site_count() > 0);
         let args = [Value::Int(3), Value::Int(2)];
         // Sweep every single-site selection and compare with the
@@ -2333,18 +2364,7 @@ def f(x):
             vec![Value::List(vec![])],
         ];
         for args in &inputs {
-            let _ = assert_choice_agrees(
-                &cp,
-                &ChoiceAssignment::default_choices(),
-                args,
-                ExecLimits::fast(),
-            );
-            for info in &cp.choices {
-                for option in 1..info.options.len() {
-                    let assignment = ChoiceAssignment::from_pairs([(info.id, option)]);
-                    let _ = assert_choice_agrees(&cp, &assignment, args, ExecLimits::fast());
-                }
-            }
+            assert_single_sites_agree(&cp, args);
         }
     }
 
@@ -2428,6 +2448,67 @@ def f(x):
         )
         .unwrap();
         assert_eq!(out.value, Value::int_list([2, 3]));
+    }
+
+    /// Every single-site assignment of `cp`, default included, agrees
+    /// with its concretized candidate on `args`.
+    fn assert_single_sites_agree(cp: &ChoiceProgram, args: &[Value]) {
+        let _ = assert_choice_agrees(
+            cp,
+            &ChoiceAssignment::default_choices(),
+            args,
+            ExecLimits::fast(),
+        );
+        for info in &cp.choices {
+            for option in 1..info.options.len() {
+                let assignment = ChoiceAssignment::from_pairs([(info.id, option)]);
+                let _ = assert_choice_agrees(cp, &assignment, args, ExecLimits::fast());
+            }
+        }
+    }
+
+    /// The receiver of the method call that is `cp`'s first statement.
+    fn first_receiver(cp: &ChoiceProgram) -> &CExpr {
+        match &cp.func.body[0].kind {
+            CStmtKind::ExprStmt(CExpr::MethodCall(recv, ..)) => recv,
+            other => panic!("expected a method-call statement, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn choice_receivers_write_back_through_the_selected_location() {
+        use afg_eml::{apply_error_model, library, ErrorModel};
+        // The receiver itself is a choice site over `xs` / `ys`.
+        let student =
+            parse_program("def f(xs, ys):\n    xs.append(len(ys))\n    return [xs, ys]\n").unwrap();
+        let model = ErrorModel::new("m").with_rule(library::var_swap());
+        let cp = apply_error_model(&student, Some("f"), &model).unwrap();
+        assert!(matches!(first_receiver(&cp), CExpr::Choice(..)));
+        assert_single_sites_agree(&cp, &[Value::int_list([1]), Value::int_list([2, 3])]);
+
+        // The receiver is an index chain whose indices hold choice sites.
+        let student =
+            parse_program("def f(xs):\n    xs[0][1].append(1)\n    xs[1].pop()\n    return xs\n")
+                .unwrap();
+        let model = ErrorModel::new("m").with_rule(library::const_tweak());
+        let cp = apply_error_model(&student, Some("f"), &model).unwrap();
+        let CExpr::Index(base, index) = first_receiver(&cp) else {
+            panic!("expected an index receiver");
+        };
+        assert!(matches!(**index, CExpr::Choice(..)));
+        assert!(
+            matches!(**base, CExpr::Index(_, ref inner) if matches!(**inner, CExpr::Choice(..)))
+        );
+        let grid = Value::List(vec![
+            Value::List(vec![
+                Value::int_list([1]),
+                Value::int_list([2]),
+                Value::int_list([3]),
+            ]),
+            Value::List(vec![Value::int_list([4]), Value::int_list([5])]),
+            Value::List(vec![Value::int_list([6])]),
+        ]);
+        assert_single_sites_agree(&cp, &[grid]);
     }
 
     #[test]

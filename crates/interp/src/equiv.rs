@@ -37,7 +37,12 @@ impl ExecResult {
         args: &[Value],
         limits: ExecLimits,
     ) -> ExecResult {
-        match run_function(program, entry, args, limits) {
+        ExecResult::of(run_function(program, entry, args, limits))
+    }
+
+    /// Captures the result of a finished run.
+    fn of(run: Result<Outcome, RuntimeError>) -> ExecResult {
+        match run {
             Ok(outcome) => ExecResult::Ok(outcome),
             Err(err) => ExecResult::Err(err.kind()),
         }
@@ -115,26 +120,22 @@ impl EquivalenceOracle {
         let inputs = config.space.enumerate_args(param_types);
         // Reference pre-pass: compile once and run the whole deck through
         // the VM (behaviour-identical to the tree walker; the differential
-        // suite enforces this), walking the tree only if lowering fails.
-        let compiled = CompiledProgram::from_program(reference, config.entry.as_deref());
-        let reference_results = match &compiled {
-            Some(compiled) => {
-                let mut vm = Vm::new(config.limits);
-                inputs
-                    .iter()
-                    .map(|args| match vm.run(compiled, args) {
-                        Ok(outcome) => ExecResult::Ok(outcome),
-                        Err(err) => ExecResult::Err(err.kind()),
-                    })
-                    .collect()
-            }
-            None => inputs
-                .iter()
-                .map(|args| {
-                    ExecResult::observe(reference, config.entry.as_deref(), args, config.limits)
-                })
-                .collect(),
-        };
+        // suite enforces this).  A reference that defines no function
+        // fails every input with the tree walker's `NameError`.
+        let reference_results =
+            match CompiledProgram::from_program(reference, config.entry.as_deref()) {
+                Some(compiled) => {
+                    let mut vm = Vm::new(config.limits);
+                    inputs
+                        .iter()
+                        .map(|args| ExecResult::of(vm.run(&compiled, args)))
+                        .collect()
+                }
+                None => {
+                    let missing = RuntimeError::Name("program defines no function".to_string());
+                    vec![ExecResult::Err(missing.kind()); inputs.len()]
+                }
+            };
         EquivalenceOracle {
             inputs,
             reference_results,
@@ -203,10 +204,9 @@ impl EquivalenceOracle {
     /// each candidate by loading its [`ChoiceAssignment`] into the VM — no
     /// per-candidate program is materialised.  This is the oracle API the
     /// synthesis back ends use in their hot loop.
-    pub fn choice_session<'a>(&'a self, program: &'a ChoiceProgram) -> ChoiceSession<'a> {
+    pub fn choice_session(&self, program: &ChoiceProgram) -> ChoiceSession<'_> {
         ChoiceSession {
             oracle: self,
-            program,
             compiled: CompiledProgram::from_choice(program),
             scratch: RefCell::new(SweepScratch::new(self.config.limits)),
         }
@@ -221,14 +221,9 @@ pub struct SweepStats {
     /// Candidate checks answered (one per (assignment, input) pair),
     /// whether executed or answered from the verdict cache.
     pub inputs_run: u64,
-    /// Checks answered from the verdict cache without executing (always 0
-    /// on the fallback path).
+    /// Checks answered from the verdict cache without executing.
     pub cache_hits: u64,
-    /// Whether the session ran candidates on the bytecode VM (false when
-    /// the program used a construct the compiler cannot lower).
-    pub compiled: bool,
-    /// Nodes currently held by the session's verdict-cache trie (0 on the
-    /// fallback path).
+    /// Nodes currently held by the session's verdict-cache trie.
     pub cache_nodes: u64,
 }
 
@@ -402,9 +397,6 @@ enum Link {
 #[derive(Debug, Clone)]
 struct SweepScratch {
     vm: Vm,
-    /// The concretized candidate of the last `prepare`, on the fallback
-    /// path for programs the compiler cannot lower.
-    candidate: Option<Program>,
     /// `marks[i] == generation` ⇔ input `i` was already checked during the
     /// current sweep.  Bumping the generation invalidates every mark at
     /// once, so the buffer never needs clearing.
@@ -423,7 +415,6 @@ impl SweepScratch {
     fn new(limits: ExecLimits) -> SweepScratch {
         SweepScratch {
             vm: Vm::new(limits),
-            candidate: None,
             marks: Vec::new(),
             generation: 0,
             cache: VerdictCache::default(),
@@ -465,14 +456,11 @@ impl SweepScratch {
 /// The choice program is lowered to bytecode once at session open; every
 /// candidate evaluation afterwards loads the assignment into the VM's
 /// selection array and sweeps the input deck through one reusable scratch
-/// arena.  For the rare program the compiler cannot lower, the session
-/// falls back to the reference semantics: it concretizes each candidate
-/// once and runs the deck through the tree walker ([`run_function`]).
+/// arena.  No candidate program is ever materialised.
 #[derive(Debug)]
 pub struct ChoiceSession<'a> {
     oracle: &'a EquivalenceOracle,
-    program: &'a ChoiceProgram,
-    compiled: Option<CompiledProgram>,
+    compiled: CompiledProgram,
     scratch: RefCell<SweepScratch>,
 }
 
@@ -489,83 +477,50 @@ impl<'a> ChoiceSession<'a> {
             sweeps: scratch.sweeps,
             inputs_run: scratch.inputs_run,
             cache_hits: scratch.cache_hits,
-            compiled: self.compiled.is_some(),
             cache_nodes: scratch.cache.nodes.len() as u64,
         }
     }
 
-    /// Loads `assignment` into the VM selection array, or on the fallback
-    /// path concretizes the candidate once for the runs that follow.
-    fn prepare(&self, scratch: &mut SweepScratch, assignment: &ChoiceAssignment) {
-        match &self.compiled {
-            Some(compiled) => scratch.vm.select(compiled, assignment),
-            None => scratch.candidate = Some(self.program.concretize(assignment)),
-        }
-    }
-
-    /// Runs the prepared candidate on one input.  `prepare` must have been
-    /// called first.
-    fn run_prepared(&self, scratch: &mut SweepScratch, index: usize) -> ExecResult {
-        scratch.inputs_run += 1;
-        let args = &self.oracle.inputs[index];
-        let result = match &self.compiled {
-            Some(compiled) => scratch.vm.run(compiled, args),
-            None => {
-                let candidate = scratch.candidate.as_ref().expect("prepared candidate");
-                let entry = Some(self.program.func.name.as_str());
-                run_function(candidate, entry, args, self.oracle.config.limits)
-            }
-        };
-        match result {
-            Ok(outcome) => ExecResult::Ok(outcome),
-            Err(err) => ExecResult::Err(err.kind()),
-        }
-    }
-
+    /// Checks the candidate loaded into the VM selection on one input.
     fn check_prepared(&self, scratch: &mut SweepScratch, index: usize) -> bool {
-        // The compiled path checks in place: the outcome stays inside the
-        // VM scratch (no output-vector move, no `ExecResult` built), which
-        // matters in the CEGIS mix where most sweeps die after a handful
-        // of runs.  Matching semantics are identical to `matches`.
-        if let Some(compiled) = &self.compiled {
-            scratch.inputs_run += 1;
-            if let Some(verdict) = scratch.cache.lookup(index, scratch.vm.selection()) {
-                scratch.cache_hits += 1;
-                return verdict;
-            }
-            let run = scratch
-                .vm
-                .run_for_check(compiled, &self.oracle.inputs[index]);
-            let verdict = match (&run, &self.oracle.reference_results[index]) {
-                // Reference errors put the input outside the reference's
-                // domain; it never counts against the student.
-                (_, ExecResult::Err(_)) => true,
-                (Ok(()), ExecResult::Ok(reference)) => scratch
-                    .vm
-                    .outcome_matches(reference, self.oracle.config.compare_output),
-                (Err(_), ExecResult::Ok(_)) => false,
-            };
-            scratch.cache.insert(index, scratch.vm.trace(), verdict);
+        // Checks in place: the outcome stays inside the VM scratch (no
+        // output-vector move, no `ExecResult` built), which matters in the
+        // CEGIS mix where most sweeps die after a handful of runs.
+        // Matching semantics are identical to `matches`.
+        scratch.inputs_run += 1;
+        if let Some(verdict) = scratch.cache.lookup(index, scratch.vm.selection()) {
+            scratch.cache_hits += 1;
             return verdict;
         }
-        self.run_prepared(scratch, index).matches(
-            &self.oracle.reference_results[index],
-            self.oracle.config.compare_output,
-        )
+        let run = scratch
+            .vm
+            .run_for_check(&self.compiled, &self.oracle.inputs[index]);
+        let verdict = match (&run, &self.oracle.reference_results[index]) {
+            // Reference errors put the input outside the reference's
+            // domain; it never counts against the student.
+            (_, ExecResult::Err(_)) => true,
+            (Ok(()), ExecResult::Ok(reference)) => scratch
+                .vm
+                .outcome_matches(reference, self.oracle.config.compare_output),
+            (Err(_), ExecResult::Ok(_)) => false,
+        };
+        scratch.cache.insert(index, scratch.vm.trace(), verdict);
+        verdict
     }
 
     /// Runs the candidate selected by `assignment` on one input and captures
     /// the result.
     pub fn observe(&self, assignment: &ChoiceAssignment, index: usize) -> ExecResult {
         let scratch = &mut *self.scratch.borrow_mut();
-        self.prepare(scratch, assignment);
-        self.run_prepared(scratch, index)
+        scratch.inputs_run += 1;
+        scratch.vm.select(&self.compiled, assignment);
+        ExecResult::of(scratch.vm.run(&self.compiled, &self.oracle.inputs[index]))
     }
 
     /// Checks the candidate on a single input, by index.
     pub fn check_input(&self, assignment: &ChoiceAssignment, index: usize) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
-        self.prepare(scratch, assignment);
+        scratch.vm.select(&self.compiled, assignment);
         self.check_prepared(scratch, index)
     }
 
@@ -573,7 +528,7 @@ impl<'a> ChoiceSession<'a> {
     /// counterexample set) and reports whether it agrees on all of them.
     pub fn agrees_on(&self, assignment: &ChoiceAssignment, indices: &[usize]) -> bool {
         let scratch = &mut *self.scratch.borrow_mut();
-        self.prepare(scratch, assignment);
+        scratch.vm.select(&self.compiled, assignment);
         indices.iter().all(|&i| self.check_prepared(scratch, i))
     }
 
@@ -607,7 +562,7 @@ impl<'a> ChoiceSession<'a> {
     ) -> Option<usize> {
         let scratch = &mut *self.scratch.borrow_mut();
         scratch.sweeps += 1;
-        self.prepare(scratch, assignment);
+        scratch.vm.select(&self.compiled, assignment);
         for &index in priority {
             if !self.check_prepared(scratch, index) {
                 return Some(index);
@@ -677,40 +632,6 @@ impl Drop for ChoiceSession<'_> {
         )
         .max(scratch.cache.nodes.len() as i64);
     }
-}
-
-/// Classification of a submission against the reference, used when building
-/// the experiment corpus (Table 1's Correct / Incorrect split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Verdict {
-    /// Behaviourally equivalent to the reference on the bounded space.
-    Correct,
-    /// Differs from the reference on at least one bounded input.
-    Incorrect,
-}
-
-/// Classifies a parsed submission as correct or incorrect.
-pub fn classify(oracle: &EquivalenceOracle, submission: &Program) -> Verdict {
-    if oracle.is_equivalent(submission) {
-        Verdict::Correct
-    } else {
-        Verdict::Incorrect
-    }
-}
-
-/// Convenience helper: runs both programs on one input and reports whether
-/// the student matches the reference there.
-pub fn agree_on_input(
-    reference: &Program,
-    student: &Program,
-    entry: Option<&str>,
-    args: &[Value],
-    limits: ExecLimits,
-    compare_output: bool,
-) -> Result<bool, RuntimeError> {
-    let reference_result = ExecResult::observe(reference, entry, args, limits);
-    let student_result = ExecResult::observe(student, entry, args, limits);
-    Ok(student_result.matches(&reference_result, compare_output))
 }
 
 #[cfg(test)]
@@ -791,7 +712,20 @@ def computeDeriv(poly):
             Value::List(items) => assert!(items.len() <= 2),
             other => panic!("unexpected input {other:?}"),
         }
-        assert_eq!(classify(&oracle, &student), Verdict::Incorrect);
+        assert!(!oracle.is_equivalent(&student));
+    }
+
+    #[test]
+    fn a_reference_without_functions_fails_every_input_with_a_name_error() {
+        let empty = Program::new();
+        let config = EquivalenceConfig::default();
+        let oracle = EquivalenceOracle::new(&empty, &[MpyType::Int], config.clone());
+        assert!(!oracle.inputs().is_empty());
+        for (i, args) in oracle.inputs().iter().enumerate() {
+            let walked = ExecResult::observe(&empty, None, args, config.limits);
+            assert_eq!(walked, ExecResult::Err("NameError"));
+            assert_eq!(oracle.reference_result(i), &walked);
+        }
     }
 
     #[test]
@@ -821,23 +755,5 @@ def computeDeriv(poly):
         assert!(!oracle.agrees_on(&student, &[cex]));
         // The empty counterexample set is vacuously satisfied.
         assert!(oracle.agrees_on(&student, &[]));
-    }
-
-    #[test]
-    fn agree_on_single_input_helper() {
-        let reference = parse_program(REFERENCE).unwrap();
-        let student = parse_program(INCORRECT).unwrap();
-        let args = vec![Value::int_list([7])];
-        let same = agree_on_input(
-            &reference,
-            &student,
-            Some("computeDeriv"),
-            &args,
-            ExecLimits::fast(),
-            false,
-        )
-        .unwrap();
-        // Reference returns [0], the student returns [] — they disagree.
-        assert!(!same);
     }
 }

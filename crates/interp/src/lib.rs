@@ -37,9 +37,7 @@ pub mod interp;
 pub mod value;
 
 pub use bytecode::{CompiledProgram, Vm};
-pub use equiv::{
-    classify, ChoiceSession, EquivalenceConfig, EquivalenceOracle, ExecResult, SweepStats, Verdict,
-};
+pub use equiv::{ChoiceSession, EquivalenceConfig, EquivalenceOracle, ExecResult, SweepStats};
 pub use error::RuntimeError;
 pub use inputs::InputSpace;
 pub use interp::{binary_op, compare_op, run_function, unary_op, ExecLimits, Interpreter, Outcome};

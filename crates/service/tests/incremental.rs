@@ -107,7 +107,7 @@ fn every_split_boundary_parses_identically() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn byte_at_a_time_delivery_answers_identically_in_both_modes() {
+fn byte_at_a_time_delivery_answers_identically() {
     let raw: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
     let handle = boot();
     let whole = exchange_chunked(handle.addr(), &[raw]);
@@ -125,7 +125,7 @@ fn byte_at_a_time_delivery_answers_identically_in_both_modes() {
 }
 
 #[test]
-fn pipelined_requests_are_answered_in_order_in_both_modes() {
+fn pipelined_requests_are_answered_in_order() {
     let mut raw = Vec::new();
     raw.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     raw.extend_from_slice(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -145,7 +145,7 @@ fn pipelined_requests_are_answered_in_order_in_both_modes() {
 }
 
 #[test]
-fn over_limit_bodies_are_rejected_identically_in_both_modes() {
+fn over_limit_bodies_get_a_closing_413() {
     // Headers dribbled in two chunks, declaring a body beyond MAX_BODY.
     let head = b"POST /problems HTTP/1.1\r\nHost: x\r\nContent-";
     let rest = b"Length: 999999999\r\n\r\n";

@@ -25,10 +25,9 @@
 //! assignment into the VM's selection array, and inputs are checked
 //! **counterexamples first** — the inputs that killed earlier candidates
 //! almost always kill the next one too, so the common case rejects a
-//! candidate after a handful of runs.  `concretize` is not called while
-//! searching a compilable program (a unit test counts the calls); it remains
-//! the cold path for rendering the final repaired program, and the session's
-//! fallback for the rare program the compiler cannot lower.
+//! candidate after a handful of runs.  `concretize` is never called while
+//! searching (a unit test counts the calls); it remains the cold path for
+//! rendering the final repaired program.
 
 use std::time::Instant;
 
@@ -262,7 +261,6 @@ impl SearchStrategy for CegisSolver {
         let sweep = session.sweep_stats();
         stats.sweeps = sweep.sweeps;
         stats.sweep_inputs = sweep.inputs_run;
-        stats.sweep_compiled = sweep.compiled;
         stats.sweep_cache_hits = sweep.cache_hits;
         stats.sweep_cache_nodes = sweep.cache_nodes;
         stats.elapsed = start.elapsed();
@@ -533,12 +531,20 @@ def computeDeriv(poly_list_int):
         // The acceptance criterion of the zero-materialisation refactor: a
         // full CEGISMIN search — original check, counterexample filtering,
         // bounded-exhaustive verification, minimisation — performs no
-        // `concretize` call at all.  (The counter is thread-local, so other
-        // tests running concurrently cannot disturb it.)
-        let student = parse_program(
+        // `concretize` call at all, including for a mutating method call
+        // on an index receiver (`box[0].append(..)`).  (The counter is
+        // thread-local, so other tests running concurrently cannot disturb
+        // it.)
+        for source in [
             "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
-        )
-        .unwrap();
+            "def computeDeriv(poly):\n    box = [[]]\n    if len(poly) == 1:\n        return box[0]\n    for e in range(0, len(poly)):\n        box[0].append(poly[e]*e)\n    return box[0]\n",
+        ] {
+            assert_search_concretizes_nothing(source);
+        }
+    }
+
+    fn assert_search_concretizes_nothing(source: &str) {
+        let student = parse_program(source).unwrap();
         let cp = apply_error_model(
             &student,
             Some("computeDeriv"),

@@ -62,12 +62,8 @@ pub struct SynthesisStats {
     /// Candidate executions performed during those sweeps — one per
     /// (assignment, input) pair actually run.
     pub sweep_inputs: u64,
-    /// Whether verification ran on the compiled bytecode VM (false when
-    /// the candidate space used a construct the compiler cannot lower, so
-    /// candidates were concretized and run on the tree walker).
-    pub sweep_compiled: bool,
     /// Checks answered from the verdict cache without executing (a subset
-    /// of `sweep_inputs`; 0 on the fallback path).
+    /// of `sweep_inputs`).
     pub sweep_cache_hits: u64,
     /// Verdict-cache trie nodes held at the end of the search (high-water
     /// across merged strategies).
@@ -118,7 +114,6 @@ impl SynthesisStats {
         self.restarts += other.restarts;
         self.sweeps += other.sweeps;
         self.sweep_inputs += other.sweep_inputs;
-        self.sweep_compiled |= other.sweep_compiled;
         self.sweep_cache_hits += other.sweep_cache_hits;
         self.sweep_cache_nodes = self.sweep_cache_nodes.max(other.sweep_cache_nodes);
         self.sat_elapsed += other.sat_elapsed;

@@ -23,7 +23,6 @@ fn harvest_sweeps(stats: &mut SynthesisStats, session: &ChoiceSession) {
     let sweep = session.sweep_stats();
     stats.sweeps = sweep.sweeps;
     stats.sweep_inputs = sweep.inputs_run;
-    stats.sweep_compiled = sweep.compiled;
     stats.sweep_cache_hits = sweep.cache_hits;
     stats.sweep_cache_nodes = sweep.cache_nodes;
     afg_obs::record_span("verify", stats.verify_elapsed);
