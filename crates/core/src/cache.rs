@@ -77,13 +77,13 @@ enum CachedGrade {
         /// Structural precondition (`None` = structure-independent, e.g. a
         /// missing entry function).  A search-produced no-repair verdict
         /// only transfers to a submission whose choice program has the
-        /// same shape — hardcoded teacher names in a model can make the
-        /// shapes diverge across alpha-renamings.
-        guard: Option<crate::grader::ReplayGuard>,
+        /// same shape (this signature) — hardcoded teacher names in a
+        /// model can make the shapes diverge across alpha-renamings.
+        guard: Option<u64>,
     },
     Timeout {
         /// As for `CannotFix`.
-        guard: Option<crate::grader::ReplayGuard>,
+        guard: Option<u64>,
     },
     Fixed {
         assignment: ChoiceAssignment,
@@ -91,9 +91,6 @@ enum CachedGrade {
         /// Boxed to keep `Fixed` from dwarfing the unit-like variants.
         stats: Box<SynthesisStats>,
         signature: u64,
-        /// The escalation tier that produced the repair; replay rebuilds
-        /// the choice program with the same tier model.
-        tier: usize,
     },
 }
 
@@ -304,9 +301,10 @@ impl Autograder {
         drop(parse_span);
 
         // Level 2: canonical-form lookup.  The key mixes in the grader's
-        // configuration fingerprint (backend, budgets, escalation ladder,
-        // model identity) so graders with different configurations can
-        // share one cache without cross-contaminating verdicts.
+        // configuration fingerprint (backend, search budget, equivalence
+        // settings, model content) so graders with different
+        // configurations can share one cache without cross-contaminating
+        // verdicts.
         let canon_span = afg_obs::stage_span!("canon");
         let key = format!(
             "{:016x}\n{}",
@@ -412,7 +410,6 @@ impl Autograder {
                             assignment: trace.assignment.clone(),
                             counterexamples: trace.counterexamples.clone(),
                             signature: trace.signature,
-                            tier: trace.tier,
                             sat_conflicts: trace.stats.sat_conflicts,
                         },
                     );
@@ -442,7 +439,6 @@ impl Autograder {
                 cost: feedback.cost,
                 stats: Box::new(trace.stats),
                 signature: trace.signature,
-                tier: trace.tier,
             }),
             _ => None,
         };
@@ -467,7 +463,7 @@ impl Autograder {
     /// graded.  Returns `None` when the cached assignment does not fit this
     /// submission's choice program — the caller then grades afresh.
     fn replay(&self, program: &Program, entry: &CachedGrade) -> Option<GradeOutcome> {
-        let (assignment, cost, stats, signature, tier) = match entry {
+        let (assignment, cost, stats, signature) = match entry {
             // Correctness depends only on program semantics, which
             // canonical equality guarantees.
             CachedGrade::Correct => return Some(GradeOutcome::Correct),
@@ -489,15 +485,10 @@ impl Autograder {
                 cost,
                 stats,
                 signature,
-                tier,
-            } => (assignment, *cost, stats.as_ref(), *signature, *tier),
+            } => (assignment, *cost, stats.as_ref(), *signature),
         };
         let start = Instant::now();
-        // Rebuild with the model of the tier that found the repair — under
-        // an escalation ladder the full model would produce a different
-        // choice program than the (truncated) tier model did.
-        let model = self.tier_model(tier)?;
-        let choice_program = apply_error_model(program, Some(self.entry()), &model).ok()?;
+        let choice_program = apply_error_model(program, Some(self.entry()), self.model()).ok()?;
         if choice_signature(&choice_program) != signature {
             return None;
         }
@@ -528,27 +519,15 @@ impl Autograder {
     }
 
     /// Whether a cached search-dependent verdict's structural guard holds
-    /// for `program`: every attempted tier's model produces a choice
-    /// program with the signature the original searches explored (all of
-    /// them — an earlier tier's model need not be a subset of the final
-    /// one, so any tier's structure diverging invalidates the verdict).
-    /// `None` guards (verdicts independent of the choice structure) always
-    /// hold.
-    fn guard_holds(&self, program: &Program, guard: Option<crate::grader::ReplayGuard>) -> bool {
-        let Some(guard) = guard else {
+    /// for `program`: the error model produces a choice program with the
+    /// signature the original search explored.  `None` guards (verdicts
+    /// independent of the choice structure) always hold.
+    fn guard_holds(&self, program: &Program, guard: Option<u64>) -> bool {
+        let Some(signature) = guard else {
             return true;
         };
-        let mut signatures = Vec::with_capacity(guard.tiers_attempted);
-        for tier in 0..guard.tiers_attempted {
-            let Some(model) = self.tier_model(tier) else {
-                return false;
-            };
-            match apply_error_model(program, Some(self.entry()), &model) {
-                Ok(choice_program) => signatures.push(choice_signature(&choice_program)),
-                Err(_) => return false,
-            }
-        }
-        crate::grader::combine_signatures(&signatures) == guard.combined_signature
+        apply_error_model(program, Some(self.entry()), self.model())
+            .is_ok_and(|choice_program| choice_signature(&choice_program) == signature)
     }
 }
 
@@ -703,6 +682,34 @@ def computeDeriv(poly_list_int):
         assert_eq!(second, GradeOutcome::CannotFix);
         assert!(!hit1);
         assert!(hit2, "a proven CannotFix under the portfolio must cache");
+    }
+
+    #[test]
+    fn search_verdicts_replay_only_onto_the_choice_structure_they_searched() {
+        let grader = grader();
+        let hopeless =
+            afg_parser::parse_program("def computeDeriv(poly):\n    return 42\n").unwrap();
+        let choice_program =
+            apply_error_model(&hopeless, Some(grader.entry()), grader.model()).unwrap();
+        let signature = choice_signature(&choice_program);
+        for (guard, expected) in [
+            (Some(signature), true),
+            (Some(signature ^ 1), false),
+            (None, true),
+        ] {
+            let cannot_fix = grader.replay(&hopeless, &CachedGrade::CannotFix { guard });
+            let timeout = grader.replay(&hopeless, &CachedGrade::Timeout { guard });
+            assert_eq!(
+                cannot_fix,
+                expected.then_some(GradeOutcome::CannotFix),
+                "{guard:?}"
+            );
+            assert_eq!(
+                timeout,
+                expected.then_some(GradeOutcome::Timeout),
+                "{guard:?}"
+            );
+        }
     }
 
     /// A cohort member: the paper's off-by-one bug plus an unused

@@ -15,7 +15,7 @@
 //! ([`afg_ast::canon::skeleton_source`]: alpha-renamed *and*
 //! constant-erased).  The first member of a cluster to earn a
 //! deterministic repair becomes the cluster *representative*; its minimal
-//! [`ChoiceAssignment`], counterexample set and producing tier are stored.
+//! [`ChoiceAssignment`] and counterexample set are stored.
 //! Every later cluster-mate gets that repair offered to the synthesizer as
 //! a [`afg_synth::WarmStart`]:
 //!
@@ -34,8 +34,8 @@
 //! differential test and the classroom CI smoke step).  Two guard rails
 //! keep that true even when a search budget truncates the descent: a
 //! warm-started search that ends *without* a proof (best-so-far repair or
-//! timeout) is thrown away and the tier re-grades cold — a truncated warm
-//! trajectory could otherwise make verdicts depend on cluster arrival
+//! timeout) is thrown away and the submission re-grades cold — a truncated
+//! warm trajectory could otherwise make verdicts depend on cluster arrival
 //! order — while a warm run that ends *with* a proof is kept, since a
 //! proven verdict is deterministic (at worst it strengthens a cold
 //! budget-timeout into a real answer, never the reverse).  The index tracks
@@ -63,9 +63,6 @@ pub(crate) struct ClusterRepair {
     /// into (`crate::cache::choice_signature`); transfer is only offered
     /// when the mate's choice program has the same signature.
     pub signature: u64,
-    /// The escalation tier that produced the repair — the mate's warm
-    /// start applies to the same tier's choice program.
-    pub tier: usize,
     /// SAT conflicts the representative's cold search spent, the baseline
     /// for the conflicts-saved estimate.
     pub sat_conflicts: u64,
@@ -261,7 +258,6 @@ mod tests {
             assignment: ChoiceAssignment::default_choices(),
             counterexamples: vec![0, 3],
             signature,
-            tier: 0,
             sat_conflicts: 100,
         }
     }

@@ -3,7 +3,6 @@
 //! `student.py` → *Program Rewriter* (error model) → M̃PY → *Sketch
 //! Translator / Solver* (choice encoding + CEGISMIN) → *Feedback Generator*.
 
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -62,74 +61,6 @@ impl fmt::Display for GraderError {
 
 impl Error for GraderError {}
 
-/// One rung of an escalation ladder: a (possibly reduced) error model, its
-/// own search budget and an optional back-end override.
-///
-/// Escalation exists because most incorrect submissions need only the
-/// handful of cheapest correction rules, and a small model means a small
-/// choice space — fast searches and fast `NoRepairFound` verdicts.  A tier
-/// that cannot repair the submission hands it to the next, larger tier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscalationTier {
-    /// Display label (shown in `/stats`).
-    pub label: String,
-    /// Truncate the grader's error model to its first `n` rules for this
-    /// tier (`None` = the full model).  Mirrors the paper's E0..E5 models of
-    /// increasing size (Figure 14(b)).
-    pub model_rules: Option<usize>,
-    /// This tier's search budget.
-    pub synthesis: SynthesisConfig,
-    /// This tier's back end (`None` = the grader's configured backend).
-    pub backend: Option<Backend>,
-}
-
-/// The full ladder.  An empty ladder means single-shot grading with the
-/// grader's own model, budget and backend.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EscalationPolicy {
-    /// The tiers, tried in order; grading escalates past a tier on
-    /// `NoRepairFound` (and on `Timeout` for every tier but the last).
-    pub tiers: Vec<EscalationTier>,
-}
-
-impl EscalationPolicy {
-    /// Single-shot grading (no ladder).
-    pub fn single_shot() -> EscalationPolicy {
-        EscalationPolicy::default()
-    }
-
-    /// Whether grading runs as a single shot.
-    pub fn is_single_shot(&self) -> bool {
-        self.tiers.is_empty()
-    }
-
-    /// The canonical two-rung ladder: the model's first `cheap_rules` rules
-    /// under `cheap` budgets first, the full model under `full` budgets on
-    /// escalation.
-    pub fn cheap_first(
-        cheap_rules: usize,
-        cheap: SynthesisConfig,
-        full: SynthesisConfig,
-    ) -> EscalationPolicy {
-        EscalationPolicy {
-            tiers: vec![
-                EscalationTier {
-                    label: format!("cheap-{cheap_rules}"),
-                    model_rules: Some(cheap_rules),
-                    synthesis: cheap,
-                    backend: None,
-                },
-                EscalationTier {
-                    label: "full".to_string(),
-                    model_rules: None,
-                    synthesis: full,
-                    backend: None,
-                },
-            ],
-        }
-    }
-}
-
 /// Configuration of the grading pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct GraderConfig {
@@ -139,8 +70,6 @@ pub struct GraderConfig {
     pub synthesis: SynthesisConfig,
     /// Which synthesis back end to run.
     pub backend: Backend,
-    /// Optional escalation ladder (empty = grade in one shot).
-    pub escalation: EscalationPolicy,
 }
 
 impl GraderConfig {
@@ -150,7 +79,6 @@ impl GraderConfig {
             equivalence: EquivalenceConfig::default(),
             synthesis: SynthesisConfig::fast(),
             backend: Backend::Cegis,
-            escalation: EscalationPolicy::single_shot(),
         }
     }
 }
@@ -262,42 +190,21 @@ impl Autograder {
         &self.oracle
     }
 
-    /// The grading configuration (backend, budgets, escalation ladder).
+    /// The grading configuration (backend, search budget, equivalence
+    /// settings).
     pub fn config(&self) -> &GraderConfig {
         &self.config
     }
 
     /// A 64-bit fingerprint of everything that can change a verdict: the
     /// reference implementation and entry name, the full grading
-    /// configuration (backend, budgets, escalation ladder,
-    /// equivalence/input-space settings) and the error model's content.
+    /// configuration (backend, search budget, equivalence/input-space
+    /// settings) and the error model's content.
     /// The fingerprint cache mixes this into its keys so one cache can
     /// safely serve differently-configured graders.  Memoized at
     /// construction (and on [`Autograder::set_model`]).
     pub fn config_fingerprint(&self) -> u64 {
         self.config_fingerprint
-    }
-
-    /// The error model a tier grades with (possibly a truncation of the
-    /// full model).  `None` when the tier index is out of range for the
-    /// configured ladder — only possible when replaying a cache entry
-    /// recorded under a different configuration, which the config
-    /// fingerprint in the cache key already rules out in practice.
-    pub(crate) fn tier_model(&self, tier_index: usize) -> Option<Cow<'_, ErrorModel>> {
-        let model_rules = if self.config.escalation.is_single_shot() {
-            if tier_index != 0 {
-                return None;
-            }
-            None
-        } else {
-            self.config.escalation.tiers.get(tier_index)?.model_rules
-        };
-        Some(match model_rules {
-            Some(rules) if rules < self.model.rules.len() => {
-                Cow::Owned(self.model.truncated(rules))
-            }
-            _ => Cow::Borrowed(&self.model),
-        })
     }
 
     /// Replaces the error model (used by the Figure 14(b)/(c) experiments
@@ -332,204 +239,135 @@ impl Autograder {
 
     /// As [`Autograder::grade_program_traced`], additionally offering a
     /// cluster representative's repair to the synthesizer as a warm start.
-    /// The hypothesis is only handed to the tier that produced it, and only
-    /// when that tier's choice program has the structural signature the
-    /// donor search explored; the search re-verifies it before trusting it,
-    /// so outcomes stay cost-identical to a cold grade (see
-    /// [`crate::ClusterIndex`]).
+    /// The hypothesis is only handed over when this submission's choice
+    /// program has the structural signature the donor search explored; the
+    /// search re-verifies it before trusting it, so outcomes stay
+    /// cost-identical to a cold grade (see [`crate::ClusterIndex`]).
     pub(crate) fn grade_program_traced_warm(
         &self,
         student: &Program,
         transfer: Option<&crate::cluster::ClusterRepair>,
     ) -> TracedGrade {
         let start = Instant::now();
-        // The resolved plan: the configured ladder, or an implicit single
-        // tier borrowed-together from the grader's own settings.
-        let single_shot;
-        let plan: &[EscalationTier] = if self.config.escalation.is_single_shot() {
-            single_shot = [EscalationTier {
-                label: "default".to_string(),
-                model_rules: None,
-                synthesis: self.config.synthesis.clone(),
-                backend: Some(self.config.backend),
-            }];
-            &single_shot
-        } else {
-            &self.config.escalation.tiers
+        let choice_program = match apply_error_model(student, Some(&self.entry), &self.model) {
+            Ok(cp) => cp,
+            Err(TransformError::NoEntryFunction) => {
+                return TracedGrade::cacheable(GradeOutcome::CannotFix)
+            }
+            Err(err) => {
+                // An ill-formed model is an instructor error; surface it as
+                // an unfixable submission rather than panicking mid-batch.
+                debug_assert!(false, "error model rejected at grading time: {err}");
+                return TracedGrade::cacheable(GradeOutcome::CannotFix);
+            }
         };
-        let last_tier = plan.len() - 1;
-        // Set when ANY tier attempted so far stopped on the wall clock: on
-        // an idle machine that tier might have produced a different
-        // verdict, so every non-Fixed verdict downstream of it is
-        // load-dependent and must not be cached.
-        let mut load_dependent = false;
-        // The choice-program signature of every tier attempted, for the
-        // structural replay guard of cached CannotFix/Timeout verdicts.
-        let mut attempted_signatures: Vec<u64> = Vec::new();
-        // Whether any tier actually tried / verified the transferred
-        // hypothesis, for the cluster index's counters.
+        let signature = crate::cache::choice_signature(&choice_program);
+        let backend = self.config.backend;
+        let synthesis = &self.config.synthesis;
+        // Whether the search tried / verified the transferred hypothesis,
+        // for the cluster index's counters.
         let mut transfer_record = TransferRecord::default();
-        for (tier_index, tier) in plan.iter().enumerate() {
-            let model = self
-                .tier_model(tier_index)
-                .expect("tier index comes from the plan");
-            let choice_program = match apply_error_model(student, Some(&self.entry), &model) {
-                Ok(cp) => cp,
-                Err(TransformError::NoEntryFunction) => {
-                    return TracedGrade::cacheable(GradeOutcome::CannotFix)
-                }
-                Err(err) => {
-                    // An ill-formed model is an instructor error; surface it as
-                    // an unfixable submission rather than panicking mid-batch.
-                    debug_assert!(false, "error model rejected at grading time: {err}");
-                    return TracedGrade::cacheable(GradeOutcome::CannotFix);
-                }
-            };
-            let signature = crate::cache::choice_signature(&choice_program);
-            attempted_signatures.push(signature);
-            let backend = tier.backend.unwrap_or(self.config.backend);
-            // The transferred hypothesis applies only to the donor's tier,
-            // and only if this submission's choice program has the shape
-            // the donor's search explored.
-            let warm = transfer.and_then(|repair| {
-                (repair.tier == tier_index && repair.signature == signature).then(|| {
-                    afg_synth::WarmStart {
-                        assignment: repair.assignment.clone(),
-                        counterexamples: repair.counterexamples.clone(),
-                    }
-                })
-            });
-            let mut search_span = afg_obs::stage_span!("search");
-            search_span.attr("tier", tier.label.clone());
-            let mut outcome = backend.synthesize_with_hint(
-                &choice_program,
-                &self.oracle,
-                &tier.synthesis,
-                warm.as_ref(),
-            );
-            let warm_attempted = outcome
-                .stats()
-                .is_some_and(|stats| stats.warm_start_attempted);
-            if warm_attempted && !outcome.is_definitive() {
-                // The budget truncated a warm-started search.  A truncated
-                // descent explores a different trajectory than cold would
-                // (the hypothesis sweep, its blocking clause and the
-                // pre-seeded counterexamples all shift which candidates the
-                // budget covers), so the best-so-far verdict could differ
-                // from cold grading's — and verdicts must never depend on
-                // cluster arrival order.  Re-grade cold and use that result;
-                // the transfer is recorded as a (costly) miss.
-                transfer_record.attempted = true;
-                outcome = backend.synthesize_with_hint(
-                    &choice_program,
-                    &self.oracle,
-                    &tier.synthesis,
-                    None,
-                );
-            } else if let Some(stats) = outcome.stats() {
-                transfer_record.attempted |= stats.warm_start_attempted;
-                transfer_record.verified |= stats.warm_start_verified;
-            }
-            if let Some(stats) = outcome.stats() {
-                search_span.attr("strategy", stats.strategy);
-                afg_obs::counter!("afg_sat_conflicts_total", "SAT conflicts across searches")
-                    .add(stats.sat_conflicts);
-                afg_obs::counter!(
-                    "afg_sat_propagations_total",
-                    "SAT unit propagations across searches"
-                )
-                .add(stats.sat_propagations);
-                afg_obs::counter!(
-                    "afg_sat_learnts_total",
-                    "SAT clauses learnt across searches"
-                )
-                .add(stats.sat_learnts);
-            }
-            drop(search_span);
-            match outcome {
-                SynthesisOutcome::AlreadyCorrect => {
-                    return TracedGrade {
-                        transfer: transfer_record,
-                        ..TracedGrade::cacheable(GradeOutcome::Correct)
-                    }
-                }
-                SynthesisOutcome::Fixed(solution) => {
-                    let corrections =
-                        corrections_from_assignment(&choice_program, &solution.assignment);
-                    // A proven-minimal repair is a deterministic verdict; a
-                    // best-so-far repair is only cacheable when the search
-                    // stopped on its candidate budget — if the wall clock
-                    // cut it (or an earlier tier) short, an idle machine
-                    // could find a cheaper repair, and caching would pin
-                    // this cost onto all alpha-equivalent resubmissions.
-                    let cacheable =
-                        !load_dependent && (solution.minimal || !solution.stats.wall_clock_limited);
-                    let trace = RepairTrace {
-                        signature,
-                        assignment: solution.assignment,
-                        counterexamples: solution.counterexamples,
-                        stats: solution.stats.clone(),
-                        tier: tier_index,
-                    };
-                    return TracedGrade {
-                        outcome: GradeOutcome::Feedback(Feedback {
-                            corrections,
-                            cost: solution.cost,
-                            elapsed: start.elapsed(),
-                            stats: solution.stats,
-                        }),
-                        repair: Some(trace),
-                        cacheable,
-                        guard: None,
-                        transfer: transfer_record,
-                    };
-                }
-                // This tier cannot repair the submission (or ran out of
-                // budget): escalate to the next, larger tier, remembering
-                // whether the stop was load-dependent.
-                SynthesisOutcome::NoRepairFound(stats) | SynthesisOutcome::Timeout(stats)
-                    if tier_index < last_tier =>
-                {
-                    load_dependent |= stats.wall_clock_limited;
-                }
-                SynthesisOutcome::NoRepairFound(stats) => {
-                    return TracedGrade {
-                        outcome: GradeOutcome::CannotFix,
-                        repair: None,
-                        // Sound only if no earlier tier was cut short by
-                        // the clock — that tier might have repaired it.
-                        cacheable: !load_dependent && !stats.wall_clock_limited,
-                        guard: Some(ReplayGuard {
-                            combined_signature: combine_signatures(&attempted_signatures),
-                            tiers_attempted: attempted_signatures.len(),
-                        }),
-                        transfer: transfer_record,
-                    };
-                }
-                SynthesisOutcome::Timeout(stats) => {
-                    return TracedGrade {
-                        outcome: GradeOutcome::Timeout,
-                        repair: None,
-                        // A timeout is only a *property of the submission*
-                        // when every search along the ladder exhausted its
-                        // candidate budget — that replays identically
-                        // anywhere.  A wall-clock (or cancellation) stop in
-                        // ANY tier depends on machine load: caching it
-                        // would pin a transient verdict onto every future
-                        // alpha-equivalent submission.  The strategies
-                        // record which one happened — for a portfolio,
-                        // whether any racer hit the clock.
-                        cacheable: !load_dependent && !stats.wall_clock_limited,
-                        guard: Some(ReplayGuard {
-                            combined_signature: combine_signatures(&attempted_signatures),
-                            tiers_attempted: attempted_signatures.len(),
-                        }),
-                        transfer: transfer_record,
-                    };
-                }
-            }
+        // The transferred hypothesis applies only if this submission's
+        // choice program has the shape the donor's search explored.
+        let warm = transfer.and_then(|repair| {
+            (repair.signature == signature).then(|| afg_synth::WarmStart {
+                assignment: repair.assignment.clone(),
+                counterexamples: repair.counterexamples.clone(),
+            })
+        });
+        let mut search_span = afg_obs::stage_span!("search");
+        let mut outcome =
+            backend.synthesize_with_hint(&choice_program, &self.oracle, synthesis, warm.as_ref());
+        let warm_attempted = outcome
+            .stats()
+            .is_some_and(|stats| stats.warm_start_attempted);
+        if warm_attempted && !outcome.is_definitive() {
+            // The budget truncated a warm-started search.  A truncated
+            // descent explores a different trajectory than cold would (the
+            // hypothesis sweep, its blocking clause and the pre-seeded
+            // counterexamples all shift which candidates the budget
+            // covers), so the best-so-far verdict could differ from cold
+            // grading's — and verdicts must never depend on cluster arrival
+            // order.  Re-grade cold and use that result; the transfer is
+            // recorded as a (costly) miss.
+            transfer_record.attempted = true;
+            outcome = backend.synthesize_with_hint(&choice_program, &self.oracle, synthesis, None);
+        } else if let Some(stats) = outcome.stats() {
+            transfer_record.attempted |= stats.warm_start_attempted;
+            transfer_record.verified |= stats.warm_start_verified;
         }
-        unreachable!("the final tier always returns")
+        if let Some(stats) = outcome.stats() {
+            search_span.attr("strategy", stats.strategy);
+            afg_obs::counter!("afg_sat_conflicts_total", "SAT conflicts across searches")
+                .add(stats.sat_conflicts);
+            afg_obs::counter!(
+                "afg_sat_propagations_total",
+                "SAT unit propagations across searches"
+            )
+            .add(stats.sat_propagations);
+            afg_obs::counter!(
+                "afg_sat_learnts_total",
+                "SAT clauses learnt across searches"
+            )
+            .add(stats.sat_learnts);
+        }
+        drop(search_span);
+        match outcome {
+            SynthesisOutcome::AlreadyCorrect => TracedGrade {
+                transfer: transfer_record,
+                ..TracedGrade::cacheable(GradeOutcome::Correct)
+            },
+            SynthesisOutcome::Fixed(solution) => {
+                let corrections =
+                    corrections_from_assignment(&choice_program, &solution.assignment);
+                // A proven-minimal repair is a deterministic verdict; a
+                // best-so-far repair is only cacheable when the search
+                // stopped on its candidate budget — if the wall clock cut
+                // it short, an idle machine could find a cheaper repair,
+                // and caching would pin this cost onto all alpha-equivalent
+                // resubmissions.
+                let cacheable = solution.minimal || !solution.stats.wall_clock_limited;
+                let trace = RepairTrace {
+                    signature,
+                    assignment: solution.assignment,
+                    counterexamples: solution.counterexamples,
+                    stats: solution.stats.clone(),
+                };
+                TracedGrade {
+                    outcome: GradeOutcome::Feedback(Feedback {
+                        corrections,
+                        cost: solution.cost,
+                        elapsed: start.elapsed(),
+                        stats: solution.stats,
+                    }),
+                    repair: Some(trace),
+                    cacheable,
+                    guard: None,
+                    transfer: transfer_record,
+                }
+            }
+            // A no-repair or timeout verdict is only a *property of the
+            // submission* when the search exhausted its candidate budget
+            // (or proved Unsat) — that replays identically anywhere.  A
+            // wall-clock (or cancellation) stop depends on machine load:
+            // caching it would pin a transient verdict onto every future
+            // alpha-equivalent submission.  The strategies record which one
+            // happened — for a portfolio, whether any racer hit the clock.
+            SynthesisOutcome::NoRepairFound(stats) => TracedGrade {
+                outcome: GradeOutcome::CannotFix,
+                repair: None,
+                cacheable: !stats.wall_clock_limited,
+                guard: Some(signature),
+                transfer: transfer_record,
+            },
+            SynthesisOutcome::Timeout(stats) => TracedGrade {
+                outcome: GradeOutcome::Timeout,
+                repair: None,
+                cacheable: !stats.wall_clock_limited,
+                guard: Some(signature),
+                transfer: transfer_record,
+            },
+        }
     }
 }
 
@@ -540,13 +378,13 @@ pub(crate) struct TracedGrade {
     pub repair: Option<RepairTrace>,
     /// Whether the verdict may be stored in the fingerprint cache.
     pub cacheable: bool,
-    /// Structural guard for cached `CannotFix`/`Timeout` verdicts: these
-    /// depend on the choice program searched, and error models with
-    /// hardcoded teacher names make choice programs alpha-variant, so
-    /// replay onto another submission must confirm the structure matches
-    /// (`None` = the verdict is structure-independent, e.g. a missing
-    /// entry function).
-    pub guard: Option<ReplayGuard>,
+    /// Structural guard for cached `CannotFix`/`Timeout` verdicts: the
+    /// signature of the choice program searched.  These verdicts depend
+    /// on that program, and error models with hardcoded teacher names make
+    /// choice programs alpha-variant, so replay onto another submission
+    /// must confirm the structure matches (`None` = the verdict is
+    /// structure-independent, e.g. a missing entry function).
+    pub guard: Option<u64>,
     /// What happened to the offered cluster warm start, if any.
     pub transfer: TransferRecord,
 }
@@ -573,32 +411,6 @@ impl TracedGrade {
     }
 }
 
-/// The structural precondition for replaying a search-dependent verdict
-/// (see [`TracedGrade::guard`]).
-///
-/// A `CannotFix`/`Timeout` verdict reflects searches over the choice
-/// programs of *every* tier attempted, so the guard folds all of their
-/// signatures — guarding only the final tier would let a stale verdict
-/// replay onto a submission that an earlier tier (whose model need not be
-/// a subset of the final one) would now repair.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplayGuard {
-    /// [`combine_signatures`] over the attempted tiers' choice programs,
-    /// in tier order.
-    pub combined_signature: u64,
-    /// How many tiers (0..n) were attempted before the verdict.
-    pub tiers_attempted: usize,
-}
-
-/// Folds per-tier choice-program signatures into one comparison value.
-pub(crate) fn combine_signatures(signatures: &[u64]) -> u64 {
-    let mut description = String::new();
-    for signature in signatures {
-        description.push_str(&format!("{signature:016x};"));
-    }
-    fnv1a64(description.as_bytes())
-}
-
 /// The replayable part of a synthesis result (see
 /// [`Autograder::grade_program_traced`]).
 #[derive(Debug, Clone)]
@@ -613,16 +425,13 @@ pub(crate) struct RepairTrace {
     pub counterexamples: Vec<usize>,
     /// Synthesizer counters from the original run.
     pub stats: afg_synth::SynthesisStats,
-    /// Which escalation tier produced the repair — replay must rebuild the
-    /// choice program with the same (possibly truncated) model.
-    pub tier: usize,
 }
 
 /// Hashes everything that can change a verdict into a 64-bit fingerprint
 /// (see [`Autograder::config_fingerprint`]): the canonical reference
 /// source and entry name (they define the oracle), the full grading
 /// configuration via its `Debug` rendering — equivalence/input-space
-/// settings, budgets, backend, ladder; a later field addition cannot
+/// settings, budget, backend; a later field addition cannot
 /// silently fall out of the key — and the error model's rule content.
 fn fingerprint_configuration(
     reference: &Program,
@@ -777,37 +586,7 @@ def computeDeriv(poly_list_int):
     const OFF_BY_ONE: &str = "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    d = []\n    for i in range(0, len(poly)):\n        d.append(i * poly[i])\n    return d\n";
 
     #[test]
-    fn escalation_reaches_the_tier_that_can_repair() {
-        // Tier 0 grades with zero rules (an empty model cannot repair
-        // anything), tier 1 with the full model: the off-by-one submission
-        // must escalate and still come out with the cost-1 feedback, byte
-        // identical to single-shot grading.
-        let mut config = GraderConfig::fast();
-        config.escalation =
-            EscalationPolicy::cheap_first(0, SynthesisConfig::fast(), SynthesisConfig::fast());
-        let escalating = Autograder::new(
-            REFERENCE,
-            "computeDeriv",
-            library::compute_deriv_model(),
-            config,
-        )
-        .unwrap();
-
-        let single_shot = grader().grade_source(OFF_BY_ONE);
-        let escalated = escalating.grade_source(OFF_BY_ONE);
-        let (a, b) = (
-            single_shot.feedback().expect("feedback"),
-            escalated.feedback().expect("feedback"),
-        );
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.to_string(), b.to_string());
-        // Correct submissions do not escalate past tier 0's verdict.
-        let correct = "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    d = []\n    for i in range(1, len(poly)):\n        d.append(i * poly[i])\n    return d\n";
-        assert_eq!(escalating.grade_source(correct), GradeOutcome::Correct);
-    }
-
-    #[test]
-    fn escalation_and_backend_change_the_config_fingerprint() {
+    fn backend_budget_and_model_change_the_config_fingerprint() {
         let base = grader();
         let mut portfolio_config = GraderConfig::fast();
         portfolio_config.backend = Backend::Portfolio;
@@ -818,21 +597,20 @@ def computeDeriv(poly_list_int):
             portfolio_config,
         )
         .unwrap();
-        let mut ladder_config = GraderConfig::fast();
-        ladder_config.escalation =
-            EscalationPolicy::cheap_first(2, SynthesisConfig::fast(), SynthesisConfig::fast());
-        let ladder = Autograder::new(
+        let mut budget_config = GraderConfig::fast();
+        budget_config.synthesis.max_candidates += 1;
+        let budget = Autograder::new(
             REFERENCE,
             "computeDeriv",
             library::compute_deriv_model(),
-            ladder_config,
+            budget_config,
         )
         .unwrap();
 
         assert_eq!(base.config_fingerprint(), grader().config_fingerprint());
         assert_ne!(base.config_fingerprint(), portfolio.config_fingerprint());
-        assert_ne!(base.config_fingerprint(), ladder.config_fingerprint());
-        assert_ne!(portfolio.config_fingerprint(), ladder.config_fingerprint());
+        assert_ne!(base.config_fingerprint(), budget.config_fingerprint());
+        assert_ne!(portfolio.config_fingerprint(), budget.config_fingerprint());
 
         // The equivalence configuration changes verdicts (it defines the
         // bounded input space), so it must change the fingerprint too.

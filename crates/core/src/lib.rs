@@ -61,9 +61,7 @@ pub use batch::{BatchGrader, BatchItem, BatchReport, WorkerStats};
 pub use cache::{CacheStats, FingerprintCache, GradeDisposition};
 pub use cluster::{ClusterIndex, ClusterStats};
 pub use feedback::{corrections_from_assignment, Correction, Feedback, FeedbackLevel};
-pub use grader::{
-    Autograder, EscalationPolicy, EscalationTier, GradeOutcome, GraderConfig, GraderError,
-};
+pub use grader::{Autograder, GradeOutcome, GraderConfig, GraderError};
 
 // Re-export the pieces callers need to configure a grader without adding
 // direct dependencies on every sub-crate.

@@ -78,7 +78,7 @@ pub struct SpanRecord {
     pub start: Duration,
     /// Wall-clock spent in the span (zero until it closes).
     pub duration: Duration,
-    /// Free-form key/value annotations (`tier=full`, `cache=hit`, …).
+    /// Free-form key/value annotations (`strategy=cegis`, `cache=hit`, …).
     pub attrs: Vec<(&'static str, String)>,
 }
 

@@ -31,93 +31,61 @@ use crate::solver::Solver;
 #[derive(Debug, Clone)]
 pub struct Totalizer {
     /// `outputs[j]` is entailed whenever at least `j + 1` inputs are true
-    /// (counts above the pruning cap all collapse onto the last output).
+    /// (one output per input literal).
     outputs: Vec<Lit>,
-    /// Number of input literals counted.
-    inputs: usize,
 }
 
 impl Totalizer {
-    /// Builds the full totalizer tree over `lits` (every count
-    /// representable), adding its clauses to the solver.  O(n²) merge
-    /// clauses; prefer [`Totalizer::with_cap`] when only small bounds will
-    /// ever be queried.
+    /// Builds the totalizer tree over `lits` (every count representable),
+    /// adding its O(n²) merge clauses to the solver.
     pub fn new(solver: &mut Solver, lits: &[Lit]) -> Totalizer {
-        Totalizer::with_cap(solver, lits, lits.len())
-    }
-
-    /// Builds a **bound-pruned** totalizer: every tree node keeps at most
-    /// `cap` outputs, with higher counts clamped onto the last one, so the
-    /// clause count is O(n · cap²) instead of O(n²).  Only bounds `< cap`
-    /// can be queried afterwards.  Not currently on the CEGISMIN path —
-    /// the choice encoding deliberately builds the full-width totalizer
-    /// (see `ChoiceEncoding::new` in `afg-synth` for the measurement) —
-    /// but available for future encodings with hundreds of inputs.
-    pub fn with_cap(solver: &mut Solver, lits: &[Lit], cap: usize) -> Totalizer {
-        let cap = cap.clamp(1, lits.len().max(1));
         Totalizer {
-            outputs: build_tree(solver, lits, cap),
-            inputs: lits.len(),
+            outputs: build_tree(solver, lits),
         }
     }
 
     /// Number of input literals counted.
     pub fn len(&self) -> usize {
-        self.inputs
+        self.outputs.len()
     }
 
     /// Whether the totalizer counts no literals at all.
     pub fn is_empty(&self) -> bool {
-        self.inputs == 0
+        self.outputs.is_empty()
     }
 
-    /// The output literals, in count order (`outputs()[j]` ⇔ count > `j`;
-    /// at most the pruning cap of them).
+    /// The output literals, in count order (`outputs()[j]` ⇔ count > `j`).
     pub fn outputs(&self) -> &[Lit] {
         &self.outputs
     }
 
     /// The assumption literal activating "at most `bound` inputs true", or
     /// `None` when the bound is vacuous (`bound ≥ n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bound` is non-vacuous but exceeds what the pruning cap
-    /// can express — silently under-constraining would be unsound.
     pub fn at_most(&self, bound: usize) -> Option<Lit> {
-        if bound >= self.inputs {
-            return None;
-        }
-        assert!(
-            bound < self.outputs.len(),
-            "bound {bound} exceeds this totalizer's pruning cap {}",
-            self.outputs.len()
-        );
-        Some(self.outputs[bound].negated())
+        self.outputs.get(bound).map(|output| output.negated())
     }
 }
 
-/// Recursively builds the (cap-pruned) totalizer tree and returns the
-/// output literals of the root node.
-fn build_tree(solver: &mut Solver, lits: &[Lit], cap: usize) -> Vec<Lit> {
+/// Recursively builds the totalizer tree and returns the output literals
+/// of the root node.
+fn build_tree(solver: &mut Solver, lits: &[Lit]) -> Vec<Lit> {
     match lits {
         [] => Vec::new(),
         // A leaf counts itself.
         [single] => vec![*single],
         _ => {
             let (left_half, right_half) = lits.split_at(lits.len() / 2);
-            let left = build_tree(solver, left_half, cap);
-            let right = build_tree(solver, right_half, cap);
-            let width = (left.len() + right.len()).min(cap);
+            let left = build_tree(solver, left_half);
+            let right = build_tree(solver, right_half);
+            let width = left.len() + right.len();
             let outputs: Vec<Lit> = solver
                 .new_vars(width)
                 .iter()
                 .map(|v| v.positive())
                 .collect();
-            // Merge clauses: left ≥ α ∧ right ≥ β → out ≥ min(α + β, cap),
-            // i.e. ¬L_α ∨ ¬R_β ∨ O_{min(α+β, cap)} (with the L/R part
-            // omitted when the respective count is zero).  The clamp is
-            // sound because a query never distinguishes counts ≥ cap.
+            // Merge clauses: left ≥ α ∧ right ≥ β → out ≥ α + β, i.e.
+            // ¬L_α ∨ ¬R_β ∨ O_{α+β} (with the L/R part omitted when the
+            // respective count is zero).
             for alpha in 0..=left.len() {
                 for beta in 0..=right.len() {
                     if alpha + beta == 0 {
@@ -130,7 +98,7 @@ fn build_tree(solver: &mut Solver, lits: &[Lit], cap: usize) -> Vec<Lit> {
                     if beta > 0 {
                         clause.push(right[beta - 1].negated());
                     }
-                    clause.push(outputs[(alpha + beta).min(width) - 1]);
+                    clause.push(outputs[alpha + beta - 1]);
                     solver.add_clause(&clause);
                 }
             }
@@ -359,42 +327,6 @@ mod tests {
                 assert_eq!(result, SatResult::Unsat, "bound {bound}");
             }
         }
-    }
-
-    #[test]
-    fn pruned_totalizer_agrees_with_the_full_one_up_to_its_cap() {
-        // cap = 3 supports bounds 0..=2 over 6 inputs with far fewer
-        // clauses; every queryable bound behaves exactly like the full
-        // encoding, and out-of-cap bounds panic instead of under-counting.
-        for forced in 0..5usize {
-            let mut solver = Solver::new();
-            let vars = solver.new_vars(6);
-            let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-            let totalizer = Totalizer::with_cap(&mut solver, &lits, 3);
-            assert_eq!(totalizer.len(), 6);
-            for lit in &lits[0..forced] {
-                assert!(solver.add_clause(&[*lit]));
-            }
-            for bound in 0..3usize {
-                let assumptions: Vec<Lit> = totalizer.at_most(bound).into_iter().collect();
-                match solver.solve_under_assumptions(&assumptions) {
-                    SatResult::Sat(model) => {
-                        assert!(forced <= bound, "bound {bound} admitted {forced} forced");
-                        assert!(count_true(&model, &lits) <= bound);
-                    }
-                    SatResult::Unsat => {
-                        assert!(forced > bound, "bound {bound} rejected {forced} forced");
-                    }
-                }
-            }
-        }
-
-        let mut solver = Solver::new();
-        let vars = solver.new_vars(6);
-        let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-        let totalizer = Totalizer::with_cap(&mut solver, &lits, 3);
-        assert_eq!(totalizer.at_most(6), None, "vacuous bound stays None");
-        assert!(std::panic::catch_unwind(|| totalizer.at_most(4)).is_err());
     }
 
     #[test]

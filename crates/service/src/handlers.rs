@@ -37,24 +37,81 @@ fn parse_body(request: &Request) -> Result<Json, (u16, Json)> {
     parse_json(text).map_err(|err| (400, error_json(&err.to_string())))
 }
 
-/// Applies the shared search-budget override fields of `body` to
-/// `synthesis` (`"max_cost"`, `"max_candidates"`, `"time_budget_ms"`).
-/// A budget too large for a `Duration` is an error naming the field.
-fn apply_budget_overrides(
-    body: &Json,
-    synthesis: &mut afg_core::SynthesisConfig,
-) -> Result<(), String> {
-    if let Some(max_cost) = body.get("max_cost").and_then(Json::as_i64) {
-        synthesis.max_cost = max_cost.max(0) as usize;
+/// A type-checked `POST /problems` body.  Unknown or repeated keys,
+/// wrongly typed values and negative budgets are errors naming the field,
+/// never silently ignored: a typo must not register a problem with
+/// default settings.
+#[derive(Default)]
+struct Registration<'a> {
+    problem: Option<&'a str>,
+    id: Option<&'a str>,
+    entry: Option<&'a str>,
+    reference: Option<&'a str>,
+    model: Option<&'a str>,
+    backend: Option<&'a str>,
+    cache: Option<bool>,
+    clustering: Option<bool>,
+    /// [`GraderConfig::fast`]'s search budget with the body's
+    /// `max_cost`, `max_candidates` and `time_budget_ms` applied.
+    synthesis: afg_core::SynthesisConfig,
+}
+
+impl<'a> Registration<'a> {
+    fn parse(body: &'a Json) -> Result<Registration<'a>, String> {
+        let Some(pairs) = body.as_object() else {
+            return Err("registration body must be a JSON object".to_string());
+        };
+        let mut registration = Registration {
+            synthesis: GraderConfig::fast().synthesis,
+            ..Registration::default()
+        };
+        for (index, (key, value)) in pairs.iter().enumerate() {
+            // Every earlier key is a distinct accepted one (anything else
+            // returned already), so this scan is bounded by their number.
+            if pairs[..index].iter().any(|(seen, _)| seen == key) {
+                return Err(format!("duplicate field '{key}'"));
+            }
+            let string = || {
+                value
+                    .as_str()
+                    .ok_or_else(|| format!("'{key}' must be a string"))
+            };
+            let boolean = || {
+                value
+                    .as_bool()
+                    .ok_or_else(|| format!("'{key}' must be a boolean"))
+            };
+            let count = || {
+                let n = value
+                    .as_i64()
+                    .ok_or_else(|| format!("'{key}' must be an integer"))?;
+                usize::try_from(n).map_err(|_| format!("'{key}' must not be negative: {n}"))
+            };
+            match key.as_str() {
+                "problem" => registration.problem = Some(string()?),
+                "id" => registration.id = Some(string()?),
+                "entry" => registration.entry = Some(string()?),
+                "reference" => registration.reference = Some(string()?),
+                "model" => registration.model = Some(string()?),
+                "backend" => registration.backend = Some(string()?),
+                "cache" => registration.cache = Some(boolean()?),
+                "clustering" => registration.clustering = Some(boolean()?),
+                "max_cost" => registration.synthesis.max_cost = count()?,
+                "max_candidates" => registration.synthesis.max_candidates = count()?,
+                "time_budget_ms" => {
+                    let budget_ms = value
+                        .as_f64()
+                        .ok_or_else(|| format!("'{key}' must be a number"))?;
+                    // Negative, or too large for a `Duration`.
+                    registration.synthesis.time_budget =
+                        Duration::try_from_secs_f64(budget_ms / 1e3)
+                            .map_err(|_| format!("'{key}' is out of range: {budget_ms}"))?;
+                }
+                _ => return Err(format!("unknown field '{key}'")),
+            }
+        }
+        Ok(registration)
     }
-    if let Some(max_candidates) = body.get("max_candidates").and_then(Json::as_i64) {
-        synthesis.max_candidates = max_candidates.max(0) as usize;
-    }
-    if let Some(budget_ms) = body.get("time_budget_ms").and_then(Json::as_f64) {
-        synthesis.time_budget = Duration::try_from_secs_f64(budget_ms.max(0.0) / 1e3)
-            .map_err(|_| format!("'time_budget_ms' is out of range: {budget_ms}"))?;
-    }
-    Ok(())
 }
 
 /// `POST /problems` — body:
@@ -64,24 +121,26 @@ fn apply_budget_overrides(
 /// `"cache": bool` (default true), `"clustering": bool` (default true;
 /// skeleton-cluster repair transfer, effective only with the cache),
 /// `"max_cost"`, `"max_candidates"`, `"time_budget_ms"` (search budget
-/// overrides),
-/// `"backend": "cegis" | "enum" | "portfolio"` (search engine), and
-/// `"escalation": [{"label"?, "rules"?, "backend"?, "max_cost"?,
-/// "max_candidates"?, "time_budget_ms"?}, ...]` — an escalation ladder
-/// graded cheapest tier first (`"rules": n` truncates the error model to
-/// its first `n` rules for that tier; omitted budget fields inherit the
-/// problem-level budget).
+/// overrides, non-negative) and
+/// `"backend": "cegis" | "enum" | "portfolio"` (search engine).  Every
+/// grade of the problem is one search under that budget and backend.  A
+/// body with any other key, or a known key of the wrong JSON type, is
+/// answered `400` naming the field.
 pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, Json) {
     let body = match parse_body(request) {
         Ok(body) => body,
         Err(response) => return response,
     };
+    let registration = match Registration::parse(&body) {
+        Ok(registration) => registration,
+        Err(message) => return (400, error_json(&message)),
+    };
 
-    let mut config = GraderConfig::fast();
-    if let Err(message) = apply_budget_overrides(&body, &mut config.synthesis) {
-        return (400, error_json(&message));
-    }
-    if let Some(backend_name) = body.get("backend").and_then(Json::as_str) {
+    let mut config = GraderConfig {
+        synthesis: registration.synthesis,
+        ..GraderConfig::fast()
+    };
+    if let Some(backend_name) = registration.backend {
         match afg_core::Backend::parse(backend_name) {
             Some(backend) => config.backend = backend,
             None => {
@@ -94,71 +153,19 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
             }
         }
     }
-    if let Some(tiers) = body.get("escalation") {
-        let Some(tiers) = tiers.as_array() else {
-            return (400, error_json("'escalation' must be an array of tiers"));
-        };
-        for (index, tier) in tiers.iter().enumerate() {
-            if !matches!(tier, Json::Object(_)) {
-                return (
-                    400,
-                    error_json(&format!("escalation[{index}] must be an object")),
-                );
-            }
-            let mut synthesis = config.synthesis.clone();
-            if let Err(message) = apply_budget_overrides(tier, &mut synthesis) {
-                return (400, error_json(&format!("escalation[{index}]: {message}")));
-            }
-            let backend = match tier.get("backend").and_then(Json::as_str) {
-                Some(name) => match afg_core::Backend::parse(name) {
-                    Some(backend) => Some(backend),
-                    None => {
-                        return (
-                            422,
-                            error_json(&format!("escalation[{index}]: unknown backend '{name}'")),
-                        );
-                    }
-                },
-                None => None,
-            };
-            let model_rules = tier
-                .get("rules")
-                .and_then(Json::as_i64)
-                .map(|rules| rules.max(0) as usize);
-            let label = tier
-                .get("label")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("tier-{index}"));
-            config.escalation.tiers.push(afg_core::EscalationTier {
-                label,
-                model_rules,
-                synthesis,
-                backend,
-            });
-        }
-    }
-    let use_cache = body.get("cache").and_then(Json::as_bool).unwrap_or(true);
+    let use_cache = registration.cache.unwrap_or(true);
     // Cluster transfer rides on the cache-miss path, so it is only
     // meaningful when the cache is on.
-    let use_clustering = use_cache
-        && body
-            .get("clustering")
-            .and_then(Json::as_bool)
-            .unwrap_or(true);
+    let use_clustering = use_cache && registration.clustering.unwrap_or(true);
 
-    let built = if let Some(problem_id) = body.get("problem").and_then(Json::as_str) {
+    let built = if let Some(problem_id) = registration.problem {
         let Some(problem) = afg_corpus::problems::problem(problem_id) else {
             return (
                 404,
                 error_json(&format!("unknown built-in problem '{problem_id}'")),
             );
         };
-        let id = body
-            .get("id")
-            .and_then(Json::as_str)
-            .unwrap_or(problem.id)
-            .to_string();
+        let id = registration.id.unwrap_or(problem.id).to_string();
         Autograder::new(
             problem.reference,
             problem.entry,
@@ -167,16 +174,14 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
         )
         .map(|grader| (id, grader))
     } else {
-        let field = |name: &str| {
-            body.get(name)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("missing string field '{name}'"))
-        };
+        fn field<'a>(name: &str, value: Option<&'a str>) -> Result<&'a str, String> {
+            value.ok_or_else(|| format!("missing string field '{name}'"))
+        }
         let (id, entry, reference, model_text) = match (
-            field("id"),
-            field("entry"),
-            field("reference"),
-            field("model"),
+            field("id", registration.id),
+            field("entry", registration.entry),
+            field("reference", registration.reference),
+            field("model", registration.model),
         ) {
             (Ok(id), Ok(entry), Ok(reference), Ok(model)) => (id, entry, reference, model),
             (id, entry, reference, model) => {
@@ -203,10 +208,6 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 ("cache", Json::Bool(use_cache)),
                 ("clustering", Json::Bool(use_clustering)),
                 ("backend", Json::str(grader.config().backend.name())),
-                (
-                    "escalation_tiers",
-                    grader.config().escalation.tiers.len().to_json(),
-                ),
             ]);
             registry.insert(ProblemEntry {
                 id,

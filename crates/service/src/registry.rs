@@ -150,35 +150,18 @@ impl ProblemEntry {
     /// The `/stats` rendering of this entry.
     pub fn stats_json(&self) -> Json {
         let config = self.grader.config();
-        let escalation: Vec<Json> = config
-            .escalation
-            .tiers
-            .iter()
-            .map(|tier| {
-                Json::object([
-                    ("label", Json::str(&tier.label)),
-                    (
-                        "model_rules",
-                        match tier.model_rules {
-                            Some(rules) => rules.to_json(),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "backend",
-                        Json::str(tier.backend.unwrap_or(config.backend).name()),
-                    ),
-                    ("max_cost", tier.synthesis.max_cost.to_json()),
-                    ("max_candidates", tier.synthesis.max_candidates.to_json()),
-                    ("time_budget_ms", tier.synthesis.time_budget.to_json()),
-                ])
-            })
-            .collect();
         let mut pairs = vec![
             ("id".to_string(), Json::str(&self.id)),
             ("entry".to_string(), Json::str(self.grader.entry())),
             ("backend".to_string(), Json::str(config.backend.name())),
-            ("escalation".to_string(), Json::Array(escalation)),
+            (
+                "budget".to_string(),
+                Json::object([
+                    ("max_cost", config.synthesis.max_cost.to_json()),
+                    ("max_candidates", config.synthesis.max_candidates.to_json()),
+                    ("time_budget_ms", config.synthesis.time_budget.to_json()),
+                ]),
+            ),
             ("outcomes".to_string(), self.counters.snapshot()),
             ("solver".to_string(), self.counters.solver_snapshot()),
             ("sweep".to_string(), self.counters.sweep_snapshot()),

@@ -200,31 +200,18 @@ fn registers_a_custom_problem_from_eml_text_and_batch_grades() {
 }
 
 #[test]
-fn registers_with_portfolio_backend_and_escalation_ladder() {
+fn registers_with_portfolio_backend() {
     let (handle, mut client) = boot();
 
-    // Portfolio backend, two-tier escalation: an empty cheap model first
-    // (tier 0 can repair nothing and escalates), the full model second.
     let (status, registered) = client
         .post(
             "/problems",
             &Json::object([
                 ("problem", Json::str("compDeriv")),
-                ("id", Json::str("deriv-ladder")),
+                ("id", Json::str("deriv-portfolio")),
                 ("backend", Json::str("portfolio")),
                 ("max_candidates", Json::Int(2000)),
                 ("time_budget_ms", Json::Int(600_000)),
-                (
-                    "escalation",
-                    Json::Array(vec![
-                        Json::object([
-                            ("label", Json::str("cheap")),
-                            ("rules", Json::Int(0)),
-                            ("max_candidates", Json::Int(50)),
-                        ]),
-                        Json::object([("label", Json::str("full"))]),
-                    ]),
-                ),
             ]),
         )
         .unwrap();
@@ -233,14 +220,11 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
         registered.get("backend").and_then(Json::as_str),
         Some("portfolio")
     );
-    assert_eq!(
-        registered.get("escalation_tiers").and_then(Json::as_i64),
-        Some(2)
-    );
 
-    // The buggy submission escalates past the empty tier and is repaired.
     let body = Json::object([("source", Json::str(BUGGY))]);
-    let (status, graded) = client.post("/problems/deriv-ladder/grade", &body).unwrap();
+    let (status, graded) = client
+        .post("/problems/deriv-portfolio/grade", &body)
+        .unwrap();
     assert_eq!(status, 200, "{graded}");
     assert_eq!(
         graded.get("outcome").and_then(Json::as_str),
@@ -253,48 +237,34 @@ fn registers_with_portfolio_backend_and_escalation_ladder() {
         "portfolio feedback must name the winning strategy, got '{winner}'"
     );
 
-    // /stats exposes backend, ladder and solver-work totals.
+    // /stats exposes the backend, the search budget in use (overrides
+    // applied over the defaults) and solver-work totals.
     let (status, stats) = client.get("/stats").unwrap();
     assert_eq!(status, 200);
     let problems = stats.get("problems").and_then(Json::as_array).unwrap();
     let entry = problems
         .iter()
-        .find(|p| p.get("id").and_then(Json::as_str) == Some("deriv-ladder"))
+        .find(|p| p.get("id").and_then(Json::as_str) == Some("deriv-portfolio"))
         .expect("registered problem listed");
     assert_eq!(
         entry.get("backend").and_then(Json::as_str),
         Some("portfolio")
     );
-    let tiers = entry.get("escalation").and_then(Json::as_array).unwrap();
-    assert_eq!(tiers.len(), 2);
-    assert_eq!(tiers[0].get("label").and_then(Json::as_str), Some("cheap"));
-    assert_eq!(tiers[0].get("model_rules").and_then(Json::as_i64), Some(0));
-    assert!(tiers[1].get("model_rules").unwrap().is_null());
+    let budget = entry.get("budget").expect("search budget");
+    assert_eq!(budget.get("max_cost").and_then(Json::as_i64), Some(3));
+    assert_eq!(
+        budget.get("max_candidates").and_then(Json::as_i64),
+        Some(2000)
+    );
+    assert_eq!(
+        budget.get("time_budget_ms").and_then(Json::as_f64),
+        Some(600_000.0)
+    );
     let solver = entry.get("solver").expect("solver work totals");
     assert!(solver
         .get("sat_propagations")
         .and_then(Json::as_i64)
         .is_some());
-
-    // Malformed escalation tiers are rejected, not silently defaulted.
-    let (status, body) = client
-        .post(
-            "/problems",
-            &Json::object([
-                ("problem", Json::str("compDeriv")),
-                (
-                    "escalation",
-                    Json::Array(vec![Json::str("cheap"), Json::Int(42)]),
-                ),
-            ]),
-        )
-        .unwrap();
-    assert_eq!(status, 400, "{body}");
-    assert!(body
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("escalation[0]"));
 
     // Unknown backends are rejected with a helpful message.
     let (status, body) = client
@@ -475,38 +445,79 @@ fn api_errors_are_json_with_proper_status_codes() {
     assert_eq!(status, 404);
 
     // A time budget too large for a `Duration` is a client error naming
-    // the field — at the top level and inside an escalation tier — never
-    // a handler panic answered with 500.
-    let huge = Json::Float(1e300);
+    // the field, never a handler panic answered with 500.
     let (status, body) = client
         .post(
             "/problems",
             &Json::object([
                 ("problem", Json::str("compDeriv")),
-                ("time_budget_ms", huge.clone()),
+                ("time_budget_ms", Json::Float(1e300)),
             ]),
         )
         .unwrap();
     assert_eq!(status, 400, "{body}");
     let message = body.get("error").and_then(Json::as_str).unwrap();
     assert!(message.contains("time_budget_ms"), "{message}");
+
+    // The registration body is strict: an unknown key (a removed field
+    // such as the old escalation ladder, or a typo), a known key of the
+    // wrong JSON type and a negative budget are each a 400 naming the
+    // field, never a silent registration with default settings.
+    for (field, value) in [
+        (
+            "escalation",
+            Json::Array(vec![Json::object([("time_budget_ms", Json::Int(1))])]),
+        ),
+        ("max_candiates", Json::Int(2000)),
+        ("max_candidates", Json::str("2000")),
+        ("max_cost", Json::Float(2.0)),
+        ("cache", Json::str("no")),
+        ("clustering", Json::Int(0)),
+        ("backend", Json::Bool(true)),
+        ("id", Json::Int(7)),
+        ("time_budget_ms", Json::str("600000")),
+        ("max_cost", Json::Int(-1)),
+        ("max_candidates", Json::Int(-5)),
+        ("time_budget_ms", Json::Int(-1)),
+    ] {
+        let (status, body) = client
+            .post(
+                "/problems",
+                &Json::object([
+                    ("problem", Json::str("compDeriv")),
+                    ("id", Json::str("strict")),
+                    (field, value.clone()),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(status, 400, "{field}: {value} -> {body}");
+        let message = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains(&format!("'{field}'")), "{message}");
+    }
     let (status, body) = client
         .post(
             "/problems",
-            &Json::object([
-                ("problem", Json::str("compDeriv")),
-                (
-                    "escalation",
-                    Json::Array(vec![Json::object([("time_budget_ms", huge)])]),
-                ),
+            &Json::Object(vec![
+                ("problem".to_string(), Json::str("compDeriv")),
+                ("max_cost".to_string(), Json::Int(2)),
+                ("max_cost".to_string(), Json::Int(3)),
             ]),
         )
         .unwrap();
     assert_eq!(status, 400, "{body}");
     let message = body.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("duplicate field 'max_cost'"), "{message}");
+    let (status, body) = client
+        .post("/problems", &Json::Array(vec![Json::str("compDeriv")]))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (_, stats) = client.get("/stats").unwrap();
+    let problems = stats.get("problems").and_then(Json::as_array).unwrap();
     assert!(
-        message.contains("escalation[0]") && message.contains("time_budget_ms"),
-        "{message}"
+        problems
+            .iter()
+            .all(|p| p.get("id").and_then(Json::as_str) != Some("strict")),
+        "a rejected registration must not register anything"
     );
 
     handle.shutdown();

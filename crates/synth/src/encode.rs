@@ -57,12 +57,12 @@ impl ChoiceEncoding {
     /// site, and the totalizer counting the total cost.
     ///
     /// The totalizer is built at full width: real choice programs have
-    /// tens of selectors, so the O(n²) merge is ~1–2k clauses, and
-    /// measurements showed the bound-pruned variant
-    /// ([`Totalizer::with_cap`]) perturbs the solver's model-enumeration
-    /// order enough to cost more candidate verifications than the clause
-    /// savings buy.  Revisit if error models ever grow to hundreds of
-    /// selectors.
+    /// tens of selectors, so the O(n²) merge is ~1–2k clauses.  A
+    /// bound-pruned totalizer (each node keeping only the counts below the
+    /// largest queried bound) was measured and rejected: it perturbs the
+    /// solver's model-enumeration order enough to cost more candidate
+    /// verifications than the clause savings buy.  Revisit if error models
+    /// ever grow to hundreds of selectors.
     pub fn new(solver: &mut Solver, program: &ChoiceProgram) -> ChoiceEncoding {
         instrument::record_encoding();
         let mut selectors = BTreeMap::new();
