@@ -12,10 +12,27 @@
 //!
 //! The kernel does not allocate on its hot paths.  Every clause, original or
 //! learnt, lives in one flat literal arena and is named by a `u32` clause
-//! reference; watch lists and reasons hold those references.  Propagation
-//! hands each processed watch list back in place, conflict analysis walks
-//! reason clauses inside the arena with one solver-owned scratch mark per
+//! reference; reasons hold those references.  Propagation hands each
+//! processed watch list back in place, conflict analysis walks reason
+//! clauses inside the arena with one solver-owned scratch mark per
 //! variable, and a literal's value is one load from a per-literal table.
+//!
+//! Watch lists hold *exact blocker* watchers: a clause reference plus the
+//! clause's other watched literal (MiniSat 2.2's blocker, after Chu, Harwood
+//! & Stuckey, "Cache conscious data structures for Boolean satisfiability
+//! solvers", JSAT 2009).  When the blocker is true, the clause is satisfied
+//! and the visit never touches the arena.  Unlike MiniSat's lazy blockers,
+//! these are never stale: a per-clause slot record keeps the list index of
+//! both watchers, so a rewatch retargets the blocker of the watcher that
+//! stays, and `swap_remove` re-records the index of the watcher it moves.
+//! A skipped visit is therefore exactly a visit that would have found the
+//! clause satisfied, and the search — decisions, propagation order, learnt
+//! clauses, models — is the same step for step as with plain reference
+//! watch lists.  The one thing a skip leaves undone is putting the
+//! falsified watch at position 1; the next full examination does that, and
+//! the clauses analysis reads (reasons and conflicts) come straight from a
+//! full examination.  [`Solver::check_watches`] asserts the invariant in
+//! tests.
 
 use crate::literal::{Lit, Model, Var};
 
@@ -82,6 +99,30 @@ impl ClauseSpan {
     }
 }
 
+/// One entry of a watch list: a clause watching the list's literal, and the
+/// clause's *other* watched literal.
+///
+/// The blocker is exact — always the other watched literal, never a stale
+/// one — so a true blocker is precisely the case in which examining the
+/// clause would find it satisfied and keep watching, and propagation can
+/// skip the visit without touching the clause's literals.
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    cref: u32,
+    blocker: Lit,
+}
+
+/// Which of a clause's two [`WatchSlots`] entries belongs to the watched
+/// literal `watched`, whose partner is `other`: the smaller literal owns
+/// slot 0.
+fn slot_of(watched: Lit, other: Lit) -> usize {
+    usize::from(watched > other)
+}
+
+/// Where a clause's two watchers sit: for each of its watched literals, the
+/// watcher's index in that literal's watch list, ordered by [`slot_of`].
+type WatchSlots = [u32; 2];
+
 /// An indexed binary max-heap over variable activities.
 ///
 /// Replaces the former O(vars) linear scan in `pick_branch_var`: decisions
@@ -136,44 +177,56 @@ impl VarOrder {
         Some(top)
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a;
-        self.pos[self.heap[b] as usize] = b;
+    /// Moves the entry at `from` into the hole at `hole`.
+    fn fill(&mut self, hole: usize, from: usize) {
+        let var = self.heap[from];
+        self.heap[hole] = var;
+        self.pos[var as usize] = hole;
     }
 
+    /// Sifts the entry at `index` towards the root.  The entry is lifted out
+    /// and written once at its final place; each parent it passes moves down
+    /// into the hole, so the layout is the one pairwise swaps would give.
     fn sift_up(&mut self, mut index: usize, activity: &[f64]) {
+        let var = self.heap[index];
+        let key = activity[var as usize];
         while index > 0 {
             let parent = (index - 1) / 2;
-            if activity[self.heap[index] as usize] <= activity[self.heap[parent] as usize] {
+            if key <= activity[self.heap[parent] as usize] {
                 break;
             }
-            self.swap(index, parent);
+            self.fill(index, parent);
             index = parent;
         }
+        self.heap[index] = var;
+        self.pos[var as usize] = index;
     }
 
+    /// Sifts the entry at `index` towards the leaves, moving the larger child
+    /// up into the hole at each level (the left one when the children tie).
     fn sift_down(&mut self, mut index: usize, activity: &[f64]) {
+        let var = self.heap[index];
+        let key = activity[var as usize];
         loop {
             let left = 2 * index + 1;
             let right = left + 1;
             let mut best = index;
-            if left < self.heap.len()
-                && activity[self.heap[left] as usize] > activity[self.heap[best] as usize]
-            {
+            let mut best_key = key;
+            if left < self.heap.len() && activity[self.heap[left] as usize] > best_key {
                 best = left;
+                best_key = activity[self.heap[left] as usize];
             }
-            if right < self.heap.len()
-                && activity[self.heap[right] as usize] > activity[self.heap[best] as usize]
-            {
+            if right < self.heap.len() && activity[self.heap[right] as usize] > best_key {
                 best = right;
             }
             if best == index {
                 break;
             }
-            self.swap(index, best);
+            self.fill(index, best);
             index = best;
         }
+        self.heap[index] = var;
+        self.pos[var as usize] = index;
     }
 }
 
@@ -191,8 +244,12 @@ pub struct Solver {
     arena: Vec<Lit>,
     /// Each clause's place in `arena`, indexed by clause reference.
     spans: Vec<ClauseSpan>,
-    /// For each literal index, the references of the clauses watching it.
-    watches: Vec<Vec<u32>>,
+    /// For each literal index, the watchers of the clauses whose watched
+    /// literal is that literal's negation (they need a look once it is true).
+    watches: Vec<Vec<Watcher>>,
+    /// Per clause reference, the list indices of its two watchers, so a
+    /// rewatch can retarget the blocker of the watcher that stays.
+    slots: Vec<WatchSlots>,
     /// Current value per literal index: 0 = false, 1 = true, or
     /// [`UNASSIGNED`].  Both literals of a variable are kept, so a value
     /// lookup is one load.
@@ -250,6 +307,7 @@ impl Solver {
             arena: Vec::new(),
             spans: Vec::new(),
             watches: Vec::new(),
+            slots: Vec::new(),
             values: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
@@ -410,10 +468,56 @@ impl Solver {
             start: u32::try_from(start).expect("clause arena fits in u32 offsets"),
             len: u32::try_from(self.arena.len() - start).expect("clause length fits in u32"),
         };
-        self.watches[self.arena[start].negated().index()].push(cref);
-        self.watches[self.arena[start + 1].negated().index()].push(cref);
+        let (a, b) = (self.arena[start], self.arena[start + 1]);
+        let mut slots = [0; 2];
+        slots[slot_of(a, b)] = self.push_watcher(a, b, cref);
+        slots[slot_of(b, a)] = self.push_watcher(b, a, cref);
         self.spans.push(span);
+        self.slots.push(slots);
         cref
+    }
+
+    /// Appends a watcher of clause `cref` on `watched` (with the clause's
+    /// other watched literal as its blocker) and returns its list index.
+    fn push_watcher(&mut self, watched: Lit, blocker: Lit, cref: u32) -> u32 {
+        let list = &mut self.watches[watched.negated().index()];
+        list.push(Watcher { cref, blocker });
+        // A list holds at most one watcher per clause, and clause
+        // references fit in a u32.
+        (list.len() - 1) as u32
+    }
+
+    /// Asserts the watch invariant: every clause has exactly one watcher in
+    /// the list of each of its two watched literals (`clause[0]` and
+    /// `clause[1]`), its slot record points at those watchers, and each
+    /// watcher's blocker is the clause's other watched literal.  A test
+    /// hook; call it between public operations.
+    #[doc(hidden)]
+    pub fn check_watches(&self) {
+        assert_eq!(self.slots.len(), self.spans.len());
+        for (cref, (span, slots)) in self.spans.iter().zip(&self.slots).enumerate() {
+            let clause = &self.arena[span.range()];
+            let (a, b) = (clause[0], clause[1]);
+            assert_ne!(a, b, "clause {cref} watches one literal twice");
+            for (watched, other) in [(a, b), (b, a)] {
+                let index = slots[slot_of(watched, other)] as usize;
+                let watcher = self.watches[watched.negated().index()].get(index);
+                assert!(
+                    watcher.is_some_and(|w| w.cref as usize == cref),
+                    "clause {cref}: slot {index} of {watched}'s list holds {watcher:?}"
+                );
+                assert_eq!(
+                    watcher.map(|w| w.blocker),
+                    Some(other),
+                    "clause {cref}: the blocker on {watched} is not the other watch"
+                );
+            }
+        }
+        // The slots name 2 × clauses distinct list positions, each holding
+        // its own clause's watcher; with no other watcher anywhere, every
+        // clause has exactly one watcher per watched literal.
+        let watchers: usize = self.watches.iter().map(Vec::len).sum();
+        assert_eq!(watchers, 2 * self.spans.len(), "stray watchers");
     }
 
     /// Adds the clause `a → b`, i.e. `¬a ∨ b`.
@@ -458,19 +562,34 @@ impl Solver {
             // Clauses watching ¬lit need attention now that lit became true.
             // The list is taken out while it is walked and moved back after:
             // a rewatch never targets ¬lit (the clause's other literals
-            // differ from it), so nothing lands in the emptied slot.
+            // differ from it), so nothing lands in the emptied slot.  Its
+            // indices stay valid meanwhile, and a retargeted blocker always
+            // sits in another list.
+            let falsified = lit.negated();
             let mut watch_list = std::mem::take(&mut self.watches[lit.index()]);
             let mut conflict = None;
             let mut i = 0;
             while i < watch_list.len() {
-                let cref = watch_list[i];
-                match self.examine_clause(cref, lit) {
+                let watcher = watch_list[i];
+                // The other watch is true: the clause is satisfied, and the
+                // visit never loads its literals.
+                if self.values[watcher.blocker.index()] == 1 {
+                    i += 1;
+                    continue;
+                }
+                match self.examine_clause(watcher, falsified) {
                     WatchOutcome::KeepWatching => i += 1,
                     WatchOutcome::Rewatched => {
                         watch_list.swap_remove(i);
+                        // The last watcher moved into the hole: record its
+                        // new index.
+                        if let Some(moved) = watch_list.get(i) {
+                            let slot = slot_of(falsified, moved.blocker);
+                            self.slots[moved.cref as usize][slot] = i as u32;
+                        }
                     }
                     WatchOutcome::Conflict => {
-                        conflict = Some(cref);
+                        conflict = Some(watcher.cref);
                         break;
                     }
                 }
@@ -484,22 +603,24 @@ impl Solver {
         None
     }
 
-    fn examine_clause(&mut self, cref: u32, false_lit: Lit) -> WatchOutcome {
-        // The literal that just became false is the watched ¬false_lit.
-        let watched = false_lit.negated();
+    /// Examines the clause of `watcher`, whose watched literal `watched`
+    /// just became false and whose other watch (the blocker) is not true.
+    fn examine_clause(&mut self, watcher: Watcher, watched: Lit) -> WatchOutcome {
+        let cref = watcher.cref;
         let clause = &mut self.arena[self.spans[cref as usize].range()];
-        // Ensure the falsified literal is at position 1.
+        // Ensure the falsified literal is at position 1.  A skipped visit
+        // may have left the two watches unswapped; this puts them back in
+        // the order every full examination gives them.
         if clause[0] == watched {
             clause.swap(0, 1);
         }
         debug_assert_eq!(clause[1], watched);
 
-        // If the other watched literal is already true the clause is
-        // satisfied; keep watching.
+        // The other watched literal is the blocker, which the caller found
+        // not true.
         let first = clause[0];
-        if self.values[first.index()] == 1 {
-            return WatchOutcome::KeepWatching;
-        }
+        debug_assert_eq!(first, watcher.blocker, "stale blocker");
+        debug_assert_ne!(self.values[first.index()], 1);
 
         // Look for a new literal to watch.
         for k in 2..clause.len() {
@@ -507,7 +628,15 @@ impl Solver {
             if self.values[candidate.index()] != 0 {
                 debug_assert_ne!(candidate, watched, "rewatch onto the walked list");
                 clause.swap(1, k);
-                self.watches[candidate.negated().index()].push(cref);
+                // Watch `candidate` in place of `watched`, and make it the
+                // blocker of the watcher on `first`, which stays put.
+                let stays = self.slots[cref as usize][slot_of(first, watched)];
+                self.watches[first.negated().index()][stays as usize].blocker = candidate;
+                let added = self.push_watcher(candidate, first, cref);
+                let mut slots = [0; 2];
+                slots[slot_of(first, candidate)] = stays;
+                slots[slot_of(candidate, first)] = added;
+                self.slots[cref as usize] = slots;
                 return WatchOutcome::Rewatched;
             }
         }
@@ -862,6 +991,7 @@ mod tests {
             assert!(s.add_clause(c));
         }
         let result = s.solve();
+        s.check_watches();
         let model = result.model().expect("satisfiable");
         for c in &clauses {
             assert!(
@@ -919,7 +1049,9 @@ mod tests {
                 }
             }
         }
+        s.check_watches();
         assert_eq!(s.solve(), SatResult::Unsat);
+        s.check_watches();
     }
 
     #[test]
@@ -949,6 +1081,7 @@ mod tests {
                         })
                         .collect();
                     s.add_clause(&blocking);
+                    s.check_watches();
                 }
             }
         }
@@ -966,6 +1099,7 @@ mod tests {
         // The last clause may already be decided unsat at add time or at solve time.
         let _ = s.add_clause(&[v[0].negative(), v[1].negative()]);
         assert_eq!(s.solve(), SatResult::Unsat);
+        s.check_watches();
     }
 
     #[test]
@@ -1027,6 +1161,7 @@ mod tests {
         // succeeds, as does an unconditional solve.
         assert!(s.solve_under_assumptions(&[v[0].positive()]).is_sat());
         assert!(s.solve().is_sat());
+        s.check_watches();
     }
 
     #[test]
@@ -1085,6 +1220,7 @@ mod tests {
             SatResult::Unsat
         );
         assert_eq!(s.unsat_core(), &[enable.positive()]);
+        s.check_watches();
         let learnts_after_first = s.stats().learnts;
 
         // Re-solving the same query reuses what was learnt: at least it must
@@ -1096,5 +1232,78 @@ mod tests {
         assert!(s.stats().learnts >= learnts_after_first);
         let model = s.solve().model().cloned().expect("sat without assumption");
         assert!(!model.value(enable));
+        s.check_watches();
+    }
+
+    /// Zero-dependency xorshift64 generator; the seed must be non-zero.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn random_3sat_keeps_the_watch_invariant_across_solves() {
+        // Near the satisfiability threshold (ratio ~4.2), with long
+        // learnt clauses, frequent rewatches and moved watchers: after every
+        // solve and every added blocking clause, each watcher sits where its
+        // clause's slot record says and blocks on the clause's other watch.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut answers = [0usize; 2];
+        for _ in 0..6 {
+            let mut s = Solver::new();
+            let v = s.new_vars(60);
+            let mut clauses = Vec::new();
+            for _ in 0..250 {
+                let clause: Vec<Lit> = (0..3)
+                    .map(|_| {
+                        let var = v[xorshift(&mut state) as usize % v.len()];
+                        if xorshift(&mut state) & 1 == 0 {
+                            var.positive()
+                        } else {
+                            var.negative()
+                        }
+                    })
+                    .collect();
+                s.add_clause(&clause);
+                clauses.push(clause);
+            }
+            s.check_watches();
+            for _ in 0..20 {
+                let assumptions: Vec<Lit> = (0..xorshift(&mut state) % 6)
+                    .map(|_| v[xorshift(&mut state) as usize % v.len()].positive())
+                    .collect();
+                let result = s.solve_under_assumptions(&assumptions);
+                s.check_watches();
+                let Some(model) = result.model() else {
+                    answers[1] += 1;
+                    continue;
+                };
+                answers[0] += 1;
+                assert!(clauses
+                    .iter()
+                    .all(|c| c.iter().any(|&l| model.lit_is_true(l))));
+                assert!(assumptions.iter().all(|&l| model.lit_is_true(l)));
+                // Block the model on its first 20 variables.
+                let blocking: Vec<Lit> = v[..20]
+                    .iter()
+                    .map(|&var| {
+                        if model.value(var) {
+                            var.negative()
+                        } else {
+                            var.positive()
+                        }
+                    })
+                    .collect();
+                s.add_clause(&blocking);
+                s.check_watches();
+                clauses.push(blocking);
+            }
+        }
+        assert!(
+            answers[0] > 10 && answers[1] > 10,
+            "sat/unsat answers {answers:?}"
+        );
     }
 }

@@ -7,6 +7,9 @@
 //! and every assumption, each `Unsat` really has no model, each unsat core is
 //! a subset of the assumptions that is unsatisfiable with the clauses, and a
 //! final blocking-clause enumeration finds exactly the brute-force models.
+//! After every step the solver's watch invariant is checked as well
+//! ([`Solver::check_watches`]): a watcher whose blocker is not its clause's
+//! other watched literal would otherwise show only as a changed search.
 
 use afg_sat::{Lit, SatResult, Solver, Var};
 
@@ -104,6 +107,7 @@ impl Session {
 
     fn add_clause(&mut self, clause: Vec<Lit>) {
         let accepted = self.solver.add_clause(&clause);
+        self.solver.check_watches();
         self.clauses.push(clause);
         if !accepted {
             assert!(
@@ -116,7 +120,9 @@ impl Session {
 
     fn check_solve(&mut self, assumptions: &[Lit], tally: &mut Tally) {
         let expected = models(self.vars.len(), &self.clauses, assumptions);
-        match self.solver.solve_under_assumptions(assumptions) {
+        let result = self.solver.solve_under_assumptions(assumptions);
+        self.solver.check_watches();
+        match result {
             SatResult::Sat(model) => {
                 tally.sat += 1;
                 assert_eq!(model.len(), self.vars.len());
@@ -163,6 +169,7 @@ impl Session {
         let expected = models(self.vars.len(), &self.clauses, &[]).len();
         let mut found = 0;
         while let SatResult::Sat(model) = self.solver.solve() {
+            self.solver.check_watches();
             found += 1;
             assert!(found <= expected, "enumerated more models than exist");
             let blocking: Vec<Lit> = self
@@ -177,8 +184,10 @@ impl Session {
                 })
                 .collect();
             self.solver.add_clause(&blocking);
+            self.solver.check_watches();
             self.clauses.push(blocking);
         }
+        self.solver.check_watches();
         assert_eq!(found, expected);
     }
 }
@@ -193,6 +202,7 @@ fn incremental_sessions_agree_with_brute_force() {
             match rng.below(10) {
                 0 if session.vars.len() < MAX_VARS => {
                     let var = session.solver.new_var();
+                    session.solver.check_watches();
                     session.vars.push(var);
                 }
                 0..=5 => {

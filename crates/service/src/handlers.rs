@@ -37,6 +37,29 @@ fn parse_body(request: &Request) -> Result<Json, (u16, Json)> {
     parse_json(text).map_err(|err| (400, error_json(&err.to_string())))
 }
 
+/// Hands each field of the JSON-object request body `body` (`what` names it
+/// in errors) to `field`, which answers `Err` for an unknown key or a bad
+/// value.  A non-object body and a key repeated from an earlier pair are
+/// errors too.  `field` fails on the first unknown key, so every key before
+/// the current one is a distinct accepted one and the repeat scan is bounded
+/// by their number, however many pairs a hostile body holds.
+fn for_each_field<'a>(
+    body: &'a Json,
+    what: &str,
+    mut field: impl FnMut(&'a str, &'a Json) -> Result<(), String>,
+) -> Result<(), String> {
+    let Some(pairs) = body.as_object() else {
+        return Err(format!("{what} must be a JSON object"));
+    };
+    for (index, (key, value)) in pairs.iter().enumerate() {
+        if pairs[..index].iter().any(|(seen, _)| seen == key) {
+            return Err(format!("duplicate field '{key}'"));
+        }
+        field(key, value)?;
+    }
+    Ok(())
+}
+
 /// A type-checked `POST /problems` body.  Unknown or repeated keys,
 /// wrongly typed values and negative budgets are errors naming the field,
 /// never silently ignored: a typo must not register a problem with
@@ -58,19 +81,11 @@ struct Registration<'a> {
 
 impl<'a> Registration<'a> {
     fn parse(body: &'a Json) -> Result<Registration<'a>, String> {
-        let Some(pairs) = body.as_object() else {
-            return Err("registration body must be a JSON object".to_string());
-        };
         let mut registration = Registration {
             synthesis: GraderConfig::fast().synthesis,
             ..Registration::default()
         };
-        for (index, (key, value)) in pairs.iter().enumerate() {
-            // Every earlier key is a distinct accepted one (anything else
-            // returned already), so this scan is bounded by their number.
-            if pairs[..index].iter().any(|(seen, _)| seen == key) {
-                return Err(format!("duplicate field '{key}'"));
-            }
+        for_each_field(body, "registration body", |key, value| {
             let string = || {
                 value
                     .as_str()
@@ -87,7 +102,7 @@ impl<'a> Registration<'a> {
                     .ok_or_else(|| format!("'{key}' must be an integer"))?;
                 usize::try_from(n).map_err(|_| format!("'{key}' must not be negative: {n}"))
             };
-            match key.as_str() {
+            match key {
                 "problem" => registration.problem = Some(string()?),
                 "id" => registration.id = Some(string()?),
                 "entry" => registration.entry = Some(string()?),
@@ -109,8 +124,63 @@ impl<'a> Registration<'a> {
                 }
                 _ => return Err(format!("unknown field '{key}'")),
             }
-        }
+            Ok(())
+        })?;
         Ok(registration)
+    }
+}
+
+/// The submission of a `POST /problems/{id}/grade` body, `{"source": "..."}`;
+/// any other key is an error naming it.
+fn parse_grade_body(body: &Json) -> Result<&str, String> {
+    let mut source = None;
+    for_each_field(body, "grade body", |key, value| match key {
+        "source" => {
+            source = Some(value.as_str().ok_or("'source' must be a string")?);
+            Ok(())
+        }
+        _ => Err(format!("unknown field '{key}'")),
+    })?;
+    source.ok_or_else(|| "missing string field 'source'".to_string())
+}
+
+/// A type-checked `POST /problems/{id}/grade/batch` body.
+struct BatchBody<'a> {
+    sources: Vec<&'a str>,
+    /// The requested worker count (positive), or `None` for the default.
+    workers: Option<usize>,
+}
+
+impl<'a> BatchBody<'a> {
+    fn parse(body: &'a Json) -> Result<BatchBody<'a>, String> {
+        let mut sources = None;
+        let mut workers = None;
+        for_each_field(body, "batch body", |key, value| {
+            match key {
+                "sources" => {
+                    let items = value.as_array().ok_or("'sources' must be an array")?;
+                    let strings = items.iter().enumerate().map(|(i, item)| {
+                        item.as_str()
+                            .ok_or_else(|| format!("sources[{i}] is not a string"))
+                    });
+                    sources = Some(strings.collect::<Result<Vec<_>, _>>()?);
+                }
+                "workers" => {
+                    let n = value.as_i64().ok_or("'workers' must be an integer")?;
+                    let n = usize::try_from(n)
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("'workers' must be positive: {n}"))?;
+                    workers = Some(n);
+                }
+                _ => return Err(format!("unknown field '{key}'")),
+            }
+            Ok(())
+        })?;
+        Ok(BatchBody {
+            sources: sources.ok_or("missing array field 'sources'")?,
+            workers,
+        })
     }
 }
 
@@ -222,7 +292,8 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
     }
 }
 
-/// `POST /problems/{id}/grade` — body `{"source": "..."}`.
+/// `POST /problems/{id}/grade` — body `{"source": "..."}`; any other key,
+/// a repeated one or a non-string `source` is answered `400` naming it.
 pub(crate) fn handle_grade(request: &Request, state: &ServiceState, id: &str) -> Reply {
     let Some(entry) = state.registry.get(id) else {
         return Reply::json(404, error_json(&format!("no problem '{id}'")));
@@ -231,8 +302,9 @@ pub(crate) fn handle_grade(request: &Request, state: &ServiceState, id: &str) ->
         Ok(body) => body,
         Err((status, body)) => return Reply::json(status, body),
     };
-    let Some(source) = body.get("source").and_then(Json::as_str) else {
-        return Reply::json(400, error_json("missing string field 'source'"));
+    let source = match parse_grade_body(&body) {
+        Ok(source) => source,
+        Err(message) => return Reply::json(400, error_json(&message)),
     };
 
     // One trace per request (when tracing is on): installed for the
@@ -316,7 +388,9 @@ pub(crate) fn handle_grade(request: &Request, state: &ServiceState, id: &str) ->
 }
 
 /// `POST /problems/{id}/grade/batch` — body
-/// `{"sources": ["...", ...], "workers": N?}`.
+/// `{"sources": ["...", ...], "workers": N?}`, with `workers` a positive
+/// integer (capped at [`MAX_BATCH_WORKERS`]).  As for registration, an
+/// unknown, repeated or wrongly typed key is answered `400` naming it.
 pub(crate) fn handle_batch(request: &Request, state: &ServiceState, id: &str) -> Reply {
     let Some(entry) = state.registry.get(id) else {
         return Reply::json(404, error_json(&format!("no problem '{id}'")));
@@ -325,21 +399,13 @@ pub(crate) fn handle_batch(request: &Request, state: &ServiceState, id: &str) ->
         Ok(body) => body,
         Err((status, body)) => return Reply::json(status, body),
     };
-    let Some(items) = body.get("sources").and_then(Json::as_array) else {
-        return Reply::json(400, error_json("missing array field 'sources'"));
+    let BatchBody { sources, workers } = match BatchBody::parse(&body) {
+        Ok(batch) => batch,
+        Err(message) => return Reply::json(400, error_json(&message)),
     };
-    let mut sources = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        match item.as_str() {
-            Some(source) => sources.push(source),
-            None => {
-                return Reply::json(400, error_json(&format!("sources[{i}] is not a string")));
-            }
-        }
-    }
-    let engine = match body.get("workers").and_then(Json::as_i64) {
-        Some(workers) if workers > 0 => BatchGrader::new((workers as usize).min(MAX_BATCH_WORKERS)),
-        _ => BatchGrader::default(),
+    let engine = match workers {
+        Some(workers) => BatchGrader::new(workers.min(MAX_BATCH_WORKERS)),
+        None => BatchGrader::default(),
     };
 
     let trace = state.tracing.then(Trace::new);

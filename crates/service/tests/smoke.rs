@@ -522,3 +522,114 @@ fn api_errors_are_json_with_proper_status_codes() {
 
     handle.shutdown();
 }
+
+#[test]
+fn grade_and_batch_bodies_are_strict() {
+    let (handle, mut client) = boot();
+    let (status, body) = client
+        .post(
+            "/problems",
+            &Json::object([("problem", Json::str("compDeriv"))]),
+        )
+        .unwrap();
+    assert_eq!(status, 201, "{body}");
+
+    // Each rejected body names the offending field; none of them grades.
+    let mut reject = |path: &str, body: Json, field: &str| {
+        let (status, response) = client.post(path, &body).unwrap();
+        assert_eq!(status, 400, "{path} {body} -> {response}");
+        let message = response.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains(field), "{body}: {message}");
+    };
+    let grade = "/problems/compDeriv/grade";
+    let source = || ("source", Json::str(BUGGY));
+    reject(
+        grade,
+        Json::object([source(), ("workers", Json::Int(2))]),
+        "unknown field 'workers'",
+    );
+    reject(
+        grade,
+        Json::object([("sources", Json::Array(vec![Json::str(BUGGY)]))]),
+        "unknown field 'sources'",
+    );
+    reject(grade, Json::object([("source", Json::Int(1))]), "'source'");
+    reject(
+        grade,
+        Json::Object(vec![
+            ("source".to_string(), Json::str(BUGGY)),
+            ("source".to_string(), Json::str("x = 1\n")),
+        ]),
+        "duplicate field 'source'",
+    );
+    reject(
+        grade,
+        Json::Object(Vec::new()),
+        "missing string field 'source'",
+    );
+    reject(grade, Json::str(BUGGY), "grade body must be a JSON object");
+
+    let batch = "/problems/compDeriv/grade/batch";
+    let sources = || ("sources", Json::Array(vec![Json::str(BUGGY)]));
+    for (value, field) in [
+        (Json::str("8"), "'workers' must be an integer"),
+        (Json::Float(2.0), "'workers' must be an integer"),
+        (Json::Int(0), "'workers' must be positive"),
+        (Json::Int(-3), "'workers' must be positive"),
+    ] {
+        reject(batch, Json::object([sources(), ("workers", value)]), field);
+    }
+    reject(
+        batch,
+        Json::object([sources(), ("worker", Json::Int(8))]),
+        "unknown field 'worker'",
+    );
+    reject(
+        batch,
+        Json::Object(vec![
+            ("sources".to_string(), Json::Array(vec![])),
+            ("workers".to_string(), Json::Int(1)),
+            ("workers".to_string(), Json::Int(2)),
+        ]),
+        "duplicate field 'workers'",
+    );
+    reject(
+        batch,
+        Json::object([("sources", Json::str(BUGGY))]),
+        "'sources' must be an array",
+    );
+    reject(
+        batch,
+        Json::object([("sources", Json::Array(vec![Json::Int(1)]))]),
+        "sources[0] is not a string",
+    );
+    reject(
+        batch,
+        Json::object([("workers", Json::Int(1))]),
+        "missing array field 'sources'",
+    );
+    reject(
+        batch,
+        Json::Array(vec![]),
+        "batch body must be a JSON object",
+    );
+
+    let (_, stats) = client.get("/stats").unwrap();
+    let problems = stats.get("problems").and_then(Json::as_array).unwrap();
+    let outcomes = problems[0].get("outcomes").unwrap();
+    assert_eq!(
+        outcomes.get("graded").and_then(Json::as_i64),
+        Some(0),
+        "a rejected body must not grade anything"
+    );
+
+    // The accepted shapes still grade.
+    let (status, body) = client.post(grade, &Json::object([source()])).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client
+        .post(batch, &Json::object([sources(), ("workers", Json::Int(1))]))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    handle.shutdown();
+}

@@ -577,6 +577,56 @@ def computeDeriv(poly_list_int):
         );
     }
 
+    /// The repair cost, SAT work counters (propagations, conflicts, learnt
+    /// clauses, restarts) and candidates checked of one cold search under a
+    /// candidate budget with the wall clock out of reach: a pure function
+    /// of the submission.
+    fn trajectory(source: &str) -> (usize, [u64; 4], usize) {
+        let student = parse_program(source).unwrap();
+        let cp = apply_error_model(
+            &student,
+            Some("computeDeriv"),
+            &library::compute_deriv_model(),
+        )
+        .unwrap();
+        let config = SynthesisConfig {
+            time_budget: std::time::Duration::from_secs(3600),
+            ..SynthesisConfig::fast()
+        };
+        let outcome = CegisSolver::new().synthesize(&cp, &oracle(), &config);
+        let solution = outcome.solution().expect("fixable");
+        assert!(solution.minimal, "the descent ran to Unsat");
+        let stats = &solution.stats;
+        (
+            solution.cost,
+            [
+                stats.sat_propagations,
+                stats.sat_conflicts,
+                stats.sat_learnts,
+                stats.restarts,
+            ],
+            stats.candidates_checked,
+        )
+    }
+
+    #[test]
+    fn search_trajectory_is_pinned() {
+        // The SAT work of two fixed searches, recorded once: a kernel change
+        // that alters any step of the search (branching order, watch order,
+        // learnt clauses, models) moves these counters.  Regenerate them
+        // only for a change that is meant to alter the search.
+        let off_by_one = trajectory(
+            "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
+        );
+        // The reference with its length test off (`== 0` for `== 1`): a
+        // cost-2 repair found after more than a thousand candidates.
+        let length_test = trajectory(
+            "def computeDeriv(poly_list_int):\n    result = []\n    for i in range(len(poly_list_int)):\n        result += [i * poly_list_int[i]]\n    if len(poly_list_int) == 0:\n        return result\n    else:\n        return result[1:]\n",
+        );
+        assert_eq!(off_by_one, (1, [10081, 39, 38, 0], 45));
+        assert_eq!(length_test, (2, [265033, 1118, 1117, 0], 1212));
+    }
+
     #[test]
     fn unfixable_submission_reports_no_repair() {
         // Returns a constant — no local correction in the model can fix it.
