@@ -8,6 +8,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use afg_ast::ops::BinOp;
+use afg_ast::Program;
+use afg_eml::{apply_error_model, library, ChoiceAssignment, ErrorModel};
 use afg_interp::{binary_op, CompiledProgram, ExecLimits, Interpreter, RuntimeError, Value, Vm};
 
 /// Which decoder/differential pair an input is fed to.
@@ -24,7 +26,8 @@ pub enum TargetKind {
     Http,
     /// 17-byte `(op, a, b)` chunks → `binary_op` vs the i128-widened oracle.
     Arith,
-    /// MPY source → bytecode VM vs tree walker (value + output + fuel).
+    /// MPY source → bytecode VM vs tree walker (value + output + fuel),
+    /// plain and rewritten into a choice program under an error model.
     Vm,
 }
 
@@ -343,6 +346,66 @@ fn run_arith(data: &[u8]) -> Verdict {
 /// exec stays bounded regardless of arity.
 const VM_MAX_ARG_TUPLES: usize = 12;
 
+/// Cap on the choice assignments probed per program (the default plus the
+/// first single-site ones), so an exec stays bounded however many sites
+/// the error model plants.
+const VM_MAX_ASSIGNMENTS: usize = 16;
+
+/// The error model the `vm` target rewrites each program under: the
+/// library's generic rules, which between them put choice sites on
+/// constants, operators, comparisons, ranges, indices, initialisers,
+/// returns and variable references (method receivers included).
+fn vm_error_model() -> ErrorModel {
+    ErrorModel::new("fuzz")
+        .with_rule(library::indr())
+        .with_rule(library::initr())
+        .with_rule(library::ranr1())
+        .with_rule(library::ranr2())
+        .with_rule(library::compr())
+        .with_rule(library::retr_generic())
+        .with_rule(library::arith_op_rule())
+        .with_rule(library::const_tweak())
+        .with_rule(library::var_swap())
+}
+
+/// Runs `args` through the VM (on `compiled`, under whatever selection
+/// `vm` holds) and through the tree walker (on `program`), and reports
+/// any difference in value, printed output, error or fuel.
+fn vm_agrees_with_tree(
+    vm: &mut Vm,
+    compiled: &CompiledProgram,
+    program: &Program,
+    entry: &str,
+    args: &[Value],
+) -> Result<(), String> {
+    let limits = ExecLimits::fast();
+    let vm_result = vm.run(compiled, args);
+    let mut interp = Interpreter::with_limits(program, limits);
+    let tree_result = interp.call_entry(Some(entry), args);
+    let agree = match (&vm_result, &tree_result) {
+        (Ok(v), Ok(t)) => v.value == t.value && v.output == t.output,
+        (Err(v), Err(t)) => v == t,
+        _ => false,
+    };
+    if !agree {
+        return Err(format!(
+            "args {args:?}: vm {vm_result:?} vs tree {tree_result:?}"
+        ));
+    }
+    if vm.fuel_used() != interp.fuel_used() {
+        return Err(format!(
+            "args {args:?}: fuel vm {} vs tree {}",
+            vm.fuel_used(),
+            interp.fuel_used()
+        ));
+    }
+    Ok(())
+}
+
+/// Compiles the program plainly and, rewritten under [`vm_error_model`],
+/// as a choice program; every run must match the tree walker (on the
+/// concretized candidate, for choice runs), and no choice run may record
+/// a site twice in its verdict-cache key.
 fn run_vm(data: &[u8]) -> Verdict {
     let text = String::from_utf8_lossy(data);
     let program = match afg_parser::parse_program(&text) {
@@ -353,32 +416,51 @@ fn run_vm(data: &[u8]) -> Verdict {
         return Verdict::Rejected("no function definition".to_string());
     };
     let entry = func.name.clone();
+    let params: Vec<_> = func.params.iter().map(|p| p.ty.clone()).collect();
+    let arg_tuples: Vec<_> = afg_interp::InputSpace::tiny()
+        .enumerate_args(&params)
+        .into_iter()
+        .take(VM_MAX_ARG_TUPLES)
+        .collect();
+    // One VM across every run, as a verification session uses it: no
+    // state may leak from one run into the next.
+    let mut vm = Vm::new(ExecLimits::fast());
     let compiled =
         CompiledProgram::from_program(&program, Some(&entry)).expect("the entry function exists");
-    let params: Vec<_> = func.params.iter().map(|p| p.ty.clone()).collect();
-    let limits = ExecLimits::fast();
-    let arg_tuples = afg_interp::InputSpace::tiny().enumerate_args(&params);
-    for args in arg_tuples.into_iter().take(VM_MAX_ARG_TUPLES) {
-        let mut vm = Vm::new(limits);
-        let vm_result = vm.run(&compiled, &args);
-        let mut interp = Interpreter::with_limits(&program, limits);
-        let tree_result = interp.call_entry(Some(&entry), &args);
-        let agree = match (&vm_result, &tree_result) {
-            (Ok(v), Ok(t)) => v.value == t.value && v.output == t.output,
-            (Err(v), Err(t)) => v == t,
-            _ => false,
-        };
-        if !agree {
-            return Verdict::Divergence(format!(
-                "args {args:?}: vm {vm_result:?} vs tree {tree_result:?}"
-            ));
+    for args in &arg_tuples {
+        if let Err(divergence) = vm_agrees_with_tree(&mut vm, &compiled, &program, &entry, args) {
+            return Verdict::Divergence(divergence);
         }
-        if vm.fuel_used() != interp.fuel_used() {
-            return Verdict::Divergence(format!(
-                "args {args:?}: fuel vm {} vs tree {}",
-                vm.fuel_used(),
-                interp.fuel_used()
-            ));
+    }
+
+    let Ok(choices) = apply_error_model(&program, Some(&entry), &vm_error_model()) else {
+        return Verdict::Ok;
+    };
+    let compiled = CompiledProgram::from_choice(&choices);
+    let single_sites = choices.choices.iter().flat_map(|info| {
+        (1..info.options.len()).map(|option| ChoiceAssignment::from_pairs([(info.id, option)]))
+    });
+    let assignments = std::iter::once(ChoiceAssignment::default_choices()).chain(single_sites);
+    let mut sites = Vec::new();
+    for assignment in assignments.take(VM_MAX_ASSIGNMENTS) {
+        let concrete = choices.concretize(&assignment);
+        vm.select(&compiled, &assignment);
+        for args in &arg_tuples {
+            if let Err(divergence) =
+                vm_agrees_with_tree(&mut vm, &compiled, &concrete, &entry, args)
+            {
+                return Verdict::Divergence(format!("{assignment:?}, {divergence}"));
+            }
+            sites.clear();
+            sites.extend(vm.trace().iter().map(|step| step.site));
+            sites.sort_unstable();
+            sites.dedup();
+            if sites.len() != vm.trace().len() {
+                return Verdict::Divergence(format!(
+                    "{assignment:?}, args {args:?}: key repeats a site: {:?}",
+                    vm.trace()
+                ));
+            }
         }
     }
     Verdict::Ok
@@ -467,6 +549,24 @@ mod tests {
             include_bytes!("../../../fuzz/corpus/vm/nested_index_append.mpy"),
             include_bytes!("../../../fuzz/corpus/vm/index_pop.mpy"),
         ] {
+            assert_eq!(run_target(TargetKind::Vm, seed), Verdict::Ok);
+        }
+    }
+
+    #[test]
+    fn vm_target_dispatches_choices_in_every_corpus_seed() {
+        for seed in [
+            &include_bytes!("../../../fuzz/corpus/vm/abs.mpy")[..],
+            include_bytes!("../../../fuzz/corpus/vm/branches.mpy"),
+            include_bytes!("../../../fuzz/corpus/vm/index_append.mpy"),
+            include_bytes!("../../../fuzz/corpus/vm/index_pop.mpy"),
+            include_bytes!("../../../fuzz/corpus/vm/nested_index_append.mpy"),
+            include_bytes!("../../../fuzz/corpus/vm/sum_loop.mpy"),
+        ] {
+            let program = afg_parser::parse_program(&String::from_utf8_lossy(seed)).unwrap();
+            let entry = program.funcs[0].name.clone();
+            let choices = apply_error_model(&program, Some(&entry), &vm_error_model()).unwrap();
+            assert!(choices.num_choices() > 0, "the model plants sites");
             assert_eq!(run_target(TargetKind::Vm, seed), Verdict::Ok);
         }
     }

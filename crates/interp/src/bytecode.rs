@@ -325,9 +325,15 @@ impl VmIter {
 
 /// One recorded choice-site consultation: the site, the option count at
 /// the consulting instruction (`bound`), and the effective (clamped)
-/// option the run took.  A run's behaviour is a pure function of its
-/// input and this sequence, which is what makes sweep verdicts cacheable
-/// across candidates (see `equiv::VerdictCache`).
+/// option the run took.
+///
+/// A run records only the *first* consultation of each site.  The
+/// selection array is fixed for the whole run, so a re-consultation reads
+/// the same entry at the same option count and takes the same option: it
+/// adds nothing to the key.  A run's behaviour is therefore a pure
+/// function of its input and this sequence of first consultations, which
+/// is what makes sweep verdicts cacheable across candidates (see
+/// `equiv::VerdictCache`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStep {
     /// Choice-site index (into the compiled program's `site_ids`).
@@ -356,6 +362,11 @@ pub struct Vm {
     iters: Vec<VmIter>,
     selection: Vec<usize>,
     trace: Vec<TraceStep>,
+    /// Per site: the run stamp and option count of its recorded
+    /// consultation.  `seen[site].0 == run` ⇔ the current run already
+    /// recorded `site`; bumping `run` forgets every site at once.
+    seen: Vec<(u32, u32)>,
+    run: u32,
     stdin: Vec<Value>,
     stdin_pos: usize,
 }
@@ -374,6 +385,8 @@ impl Vm {
             iters: Vec::new(),
             selection: Vec::new(),
             trace: Vec::new(),
+            seen: Vec::new(),
+            run: 0,
             stdin: Vec::new(),
             stdin_pos: 0,
         }
@@ -384,21 +397,33 @@ impl Vm {
         &self.selection
     }
 
-    /// The choice-site consultations of the last run, in execution order.
+    /// The first consultation of each choice site in the last run, in
+    /// execution order (see [`TraceStep`]): no site appears twice.
     pub fn trace(&self) -> &[TraceStep] {
         &self.trace
     }
 
     /// Reads the selected option for `site`, clamped to the consulting
-    /// instruction's option count, and records the consultation.
+    /// instruction's option count, and records the consultation if it is
+    /// the run's first at `site`.
     #[inline]
     fn choose(&mut self, site: u32, bound: usize) -> usize {
         let option = self.selection[site as usize].min(bound - 1);
-        self.trace.push(TraceStep {
-            site,
-            bound: bound as u32,
-            option: option as u32,
-        });
+        let bound = bound as u32;
+        let seen = &mut self.seen[site as usize];
+        if *seen != (self.run, bound) {
+            // Every instruction that consults a site dispatches over that
+            // site's option list, so a re-consultation repeats the first
+            // one's bound.  Were it ever to differ, recording it again
+            // keeps the key sound.
+            debug_assert!(seen.0 != self.run, "site {site} consulted at two bounds");
+            *seen = (self.run, bound);
+            self.trace.push(TraceStep {
+                site,
+                bound,
+                option: option as u32,
+            });
+        }
         option
     }
 
@@ -411,6 +436,7 @@ impl Vm {
         // entries beats a per-site assignment lookup.
         self.selection.clear();
         self.selection.resize(program.site_ids.len(), 0);
+        self.seen.resize(program.site_ids.len(), (0, 0));
         for (id, option) in assignment.non_default() {
             if let Some(&site) = program.site_map.get(&id) {
                 self.selection[site as usize] = option;
@@ -449,6 +475,15 @@ impl Vm {
         self.depth = 0;
         self.output_len = 0;
         self.trace.clear();
+        // On wrap-around, stale stamps could alias the new run; reset them
+        // (once every 2^32 runs) to keep the stamp trick sound.
+        self.run = match self.run.checked_add(1) {
+            Some(run) => run,
+            None => {
+                self.seen.fill((0, 0));
+                1
+            }
+        };
         self.stack.clear();
         self.slots.clear();
         self.iters.clear();
@@ -2531,6 +2566,58 @@ def f(x):
                 max_recursion: 32,
             };
             let _ = assert_choice_agrees(&cp, &assignment, &args, limits);
+        }
+    }
+
+    #[test]
+    fn trace_records_each_site_once_per_run() {
+        use afg_eml::{apply_error_model, library, ErrorModel};
+        // One site (the constant 3), consulted once per loop iteration.
+        let student = parse_program(
+            "def f(n):\n    total = n\n    for i in range(n):\n        total += 3\n    return total\n",
+        )
+        .unwrap();
+        let model = ErrorModel::new("m").with_rule(library::const_tweak());
+        let cp = apply_error_model(&student, Some("f"), &model).unwrap();
+        assert_eq!(cp.choices.len(), 1);
+        let compiled = CompiledProgram::from_choice(&cp);
+        let mut vm = Vm::new(ExecLimits::fast());
+        let assignment = ChoiceAssignment::from_pairs([(cp.choices[0].id, 1)]);
+        vm.select(&compiled, &assignment);
+        // Every run starts a fresh key: the second run records the site
+        // again, and a run that never reaches it records nothing.
+        for (n, steps) in [(10, 1), (10, 1), (0, 0), (1, 1)] {
+            let out = vm.run(&compiled, &[Value::Int(n)]).unwrap();
+            assert_eq!(out.value, Value::Int(n + 4 * n), "option 1 adds 4");
+            assert_eq!(vm.trace().len(), steps, "n = {n}");
+        }
+        assert_eq!(
+            vm.trace(),
+            [TraceStep {
+                site: 0,
+                bound: 3,
+                option: 1
+            }]
+        );
+
+        // No trace repeats a site, whatever the selection.
+        let cp = figure_2a_choices();
+        let compiled = CompiledProgram::from_choice(&cp);
+        let mut assignments = vec![ChoiceAssignment::default_choices()];
+        for info in &cp.choices {
+            for option in 1..info.options.len() {
+                assignments.push(ChoiceAssignment::from_pairs([(info.id, option)]));
+            }
+        }
+        for assignment in &assignments {
+            vm.select(&compiled, assignment);
+            for poly in [vec![2, -3, 1, 4], vec![0, 0, 5], vec![7]] {
+                let _ = vm.run(&compiled, &[Value::int_list(poly)]);
+                let mut sites: Vec<u32> = vm.trace().iter().map(|step| step.site).collect();
+                sites.sort_unstable();
+                sites.dedup();
+                assert_eq!(sites.len(), vm.trace().len(), "{assignment:?}");
+            }
         }
     }
 

@@ -234,6 +234,11 @@ pub struct SweepStats {
 /// sequence of (site, clamped option) consultations the VM records as its
 /// [`TraceStep`] trace — two candidates that agree on every consulted
 /// site behave identically on that input, whatever they do elsewhere.
+/// The VM records only the first consultation of each site per run: the
+/// selection is fixed for the whole run, so a loop that re-reads a site
+/// re-reads the same entry at the same option count and takes the option
+/// the first read recorded.  A key therefore holds at most one step per
+/// site, however long the run loops.
 /// The cache stores, per input, a decision trie over consultations:
 /// branches ask "which option does the current selection take at site
 /// `s`?", leaves hold the check verdict.  Lookups walk the trie against

@@ -578,10 +578,11 @@ def computeDeriv(poly_list_int):
     }
 
     /// The repair cost, SAT work counters (propagations, conflicts, learnt
-    /// clauses, restarts) and candidates checked of one cold search under a
-    /// candidate budget with the wall clock out of reach: a pure function
-    /// of the submission.
-    fn trajectory(source: &str) -> (usize, [u64; 4], usize) {
+    /// clauses, restarts), candidates checked and verification counters
+    /// (sweeps, sweep inputs, verdict-cache trie nodes) of one cold search
+    /// under a candidate budget with the wall clock out of reach: a pure
+    /// function of the submission.
+    fn trajectory(source: &str) -> (usize, [u64; 4], usize, [u64; 3]) {
         let student = parse_program(source).unwrap();
         let cp = apply_error_model(
             &student,
@@ -606,15 +607,17 @@ def computeDeriv(poly_list_int):
                 stats.restarts,
             ],
             stats.candidates_checked,
+            [stats.sweeps, stats.sweep_inputs, stats.sweep_cache_nodes],
         )
     }
 
     #[test]
     fn search_trajectory_is_pinned() {
-        // The SAT work of two fixed searches, recorded once: a kernel change
-        // that alters any step of the search (branching order, watch order,
-        // learnt clauses, models) moves these counters.  Regenerate them
-        // only for a change that is meant to alter the search.
+        // The SAT and verification work of two fixed searches, recorded
+        // once: a kernel change that alters any step of the search
+        // (branching order, watch order, learnt clauses, models) moves
+        // these counters.  Regenerate them only for a change that is meant
+        // to alter the search.
         let off_by_one = trajectory(
             "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
         );
@@ -623,8 +626,15 @@ def computeDeriv(poly_list_int):
         let length_test = trajectory(
             "def computeDeriv(poly_list_int):\n    result = []\n    for i in range(len(poly_list_int)):\n        result += [i * poly_list_int[i]]\n    if len(poly_list_int) == 0:\n        return result\n    else:\n        return result[1:]\n",
         );
-        assert_eq!(off_by_one, (1, [10081, 39, 38, 0], 45));
-        assert_eq!(length_test, (2, [265033, 1118, 1117, 0], 1212));
+        // Sweeps and sweep inputs are pinned with the SAT side: the
+        // verdict cache may answer a check, never change it.  The trie
+        // node counts pin the key rule: keys that also recorded each
+        // re-read of a site hold 8,685 and 6,572 nodes here.
+        assert_eq!(off_by_one, (1, [10081, 39, 38, 0], 45, [45, 1238, 7653]));
+        assert_eq!(
+            length_test,
+            (2, [265033, 1118, 1117, 0], 1212, [1212, 2631, 5479])
+        );
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub struct SynthesisStats {
     /// Verification sweeps answered by the equivalence session
     /// (`find_counterexample` calls, including the already-correct check).
     pub sweeps: u64,
-    /// Candidate executions performed during those sweeps — one per
-    /// (assignment, input) pair actually run.
+    /// Candidate checks answered during those sweeps — one per
+    /// (assignment, input) pair, whether executed or answered from the
+    /// verdict cache.
     pub sweep_inputs: u64,
     /// Checks answered from the verdict cache without executing (a subset
     /// of `sweep_inputs`).

@@ -247,15 +247,19 @@ fn assignment_cost_counts_non_default_choices() {
 /// compiled choice program agrees with concretising the assignment and
 /// interpreting the resulting program on the tree walker — for every
 /// benchmark problem, across default, single-choice and random
-/// multi-choice assignments, on the oracle's bounded inputs.
+/// multi-choice assignments, on the oracle's bounded inputs — and the
+/// session's verdict cache answers every such check as the concretised
+/// program would.
 #[test]
 fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
     use autofeedback::core::GraderConfig;
     use autofeedback::interp::{ExecLimits, ExecResult};
 
     let limits = ExecLimits::fast();
+    let mut cache_hits = 0;
     for problem in problems::all_problems() {
         let grader = problem.autograder(GraderConfig::fast());
+        let compare_output = grader.config().equivalence.compare_output;
         let inputs = grader.oracle().inputs();
         for variant in problem.correct_variants.iter().take(2) {
             let student = parse_program(variant).expect("corpus variants parse");
@@ -284,6 +288,8 @@ fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
             }
 
             let session = grader.oracle().choice_session(&choices);
+            // (assignment, input, the materialised program's verdict).
+            let mut sampled = Vec::new();
             for (which, assignment) in assignments.iter().enumerate().take(24) {
                 let concrete = choices.concretize(assignment);
                 // Sample the bounded input space: small spaces are swept
@@ -299,10 +305,31 @@ fn choice_evaluation_agrees_with_concretisation_on_corpus_problems() {
                         "{}: assignment #{which} diverged on {args:?}",
                         problem.id
                     );
+                    let verdict = materialised
+                        .matches(grader.oracle().reference_result(index), compare_output);
+                    sampled.push((which, index, verdict));
                 }
             }
+
+            // The verdict cache answers a check from the first-consultation
+            // keys of earlier runs.  In the first pass later assignments
+            // meet a trie the earlier ones filled; in the second every
+            // check is a lookup.  Each answer must be the materialised
+            // program's verdict.
+            for pass in 0..2 {
+                for &(which, index, verdict) in &sampled {
+                    assert_eq!(
+                        session.check_input(&assignments[which], index),
+                        verdict,
+                        "{}: pass {pass}, assignment #{which}, input {index}",
+                        problem.id
+                    );
+                }
+            }
+            cache_hits += session.sweep_stats().cache_hits;
         }
     }
+    assert!(cache_hits > 0, "the verdict cache answered some checks");
 }
 
 /// The student program keeps its own parameter names, but the declared types
