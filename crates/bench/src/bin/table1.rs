@@ -3,17 +3,16 @@
 //! generated feedback, and average/median grading time.
 //!
 //! ```text
-//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum|portfolio]
+//! cargo run --release -p afg-bench --bin table1 -- [--attempts N] [--seed S] [--workers N] [--json] [--backend cegis|enum]
 //! ```
 //!
 //! With `--json` the table is emitted as a single JSON document (via
 //! `afg-json`) so CI and scripts can consume the results without scraping
 //! the human-formatted text; the document carries per-row solver work
-//! (`sat_conflicts`/`sat_learnts`/…), per-row winning-strategy counts
-//! (`winners`, interesting under `--backend portfolio`) and an aggregate
-//! `solver` object.  `--backend` selects the search engine, so backend
-//! speedups are *measured* on the same corpus rather than asserted; the
-//! aggregate `sweep_ns_per_input` reports verification throughput.
+//! (`sat_conflicts`/`sat_learnts`/…) and an aggregate `solver` object.
+//! `--backend` selects the search engine, so backend speedups are
+//! *measured* on the same corpus rather than asserted; the aggregate
+//! `sweep_ns_per_input` reports verification throughput.
 //!
 //! The corpora are synthetic (see DESIGN.md); absolute counts therefore
 //! differ from the paper, but the shape — a majority of incorrect attempts

@@ -349,10 +349,9 @@ impl Autograder {
             // A no-repair or timeout verdict is only a *property of the
             // submission* when the search exhausted its candidate budget
             // (or proved Unsat) — that replays identically anywhere.  A
-            // wall-clock (or cancellation) stop depends on machine load:
-            // caching it would pin a transient verdict onto every future
-            // alpha-equivalent submission.  The strategies record which one
-            // happened — for a portfolio, whether any racer hit the clock.
+            // wall-clock stop depends on machine load: caching it would pin
+            // a transient verdict onto every future alpha-equivalent
+            // submission.  The strategies record which one happened.
             SynthesisOutcome::NoRepairFound(stats) => TracedGrade {
                 outcome: GradeOutcome::CannotFix,
                 repair: None,
@@ -588,13 +587,13 @@ def computeDeriv(poly_list_int):
     #[test]
     fn backend_budget_and_model_change_the_config_fingerprint() {
         let base = grader();
-        let mut portfolio_config = GraderConfig::fast();
-        portfolio_config.backend = Backend::Portfolio;
-        let portfolio = Autograder::new(
+        let mut enum_config = GraderConfig::fast();
+        enum_config.backend = Backend::Enumerative;
+        let enumerative = Autograder::new(
             REFERENCE,
             "computeDeriv",
             library::compute_deriv_model(),
-            portfolio_config,
+            enum_config,
         )
         .unwrap();
         let mut budget_config = GraderConfig::fast();
@@ -608,9 +607,12 @@ def computeDeriv(poly_list_int):
         .unwrap();
 
         assert_eq!(base.config_fingerprint(), grader().config_fingerprint());
-        assert_ne!(base.config_fingerprint(), portfolio.config_fingerprint());
+        assert_ne!(base.config_fingerprint(), enumerative.config_fingerprint());
         assert_ne!(base.config_fingerprint(), budget.config_fingerprint());
-        assert_ne!(portfolio.config_fingerprint(), budget.config_fingerprint());
+        assert_ne!(
+            enumerative.config_fingerprint(),
+            budget.config_fingerprint()
+        );
 
         // The equivalence configuration changes verdicts (it defines the
         // bounded input space), so it must change the fingerprint too.
@@ -634,24 +636,22 @@ def computeDeriv(poly_list_int):
     }
 
     #[test]
-    fn portfolio_backend_grades_like_cegis() {
+    fn enum_backend_grades_like_cegis() {
         let mut config = GraderConfig::fast();
-        config.backend = Backend::Portfolio;
-        let portfolio = Autograder::new(
+        config.backend = Backend::Enumerative;
+        let enumerative = Autograder::new(
             REFERENCE,
             "computeDeriv",
             library::compute_deriv_model(),
             config,
         )
         .unwrap();
-        let outcome = portfolio.grade_source(OFF_BY_ONE);
+        let outcome = enumerative.grade_source(OFF_BY_ONE);
         let feedback = outcome.feedback().expect("feedback");
+        let cegis = grader().grade_source(OFF_BY_ONE);
+        assert_eq!(feedback.cost, cegis.feedback().expect("feedback").cost);
         assert_eq!(feedback.cost, 1);
-        assert!(
-            ["cegis", "enum"].contains(&feedback.stats.strategy),
-            "portfolio feedback must name the winning strategy, got '{}'",
-            feedback.stats.strategy
-        );
+        assert_eq!(feedback.stats.strategy, "enum");
     }
 
     #[test]

@@ -67,4 +67,4 @@ pub use grader::{Autograder, GradeOutcome, GraderConfig, GraderError};
 // direct dependencies on every sub-crate.
 pub use afg_eml::{ErrorModel, Rule};
 pub use afg_interp::{EquivalenceConfig, ExecLimits, InputSpace};
-pub use afg_synth::{Backend, CancelToken, SearchStrategy, SynthesisConfig};
+pub use afg_synth::{Backend, SynthesisConfig};

@@ -192,7 +192,7 @@ impl<'a> BatchBody<'a> {
 /// skeleton-cluster repair transfer, effective only with the cache),
 /// `"max_cost"`, `"max_candidates"`, `"time_budget_ms"` (search budget
 /// overrides, non-negative) and
-/// `"backend": "cegis" | "enum" | "portfolio"` (search engine).  Every
+/// `"backend": "cegis" | "enum"` (search engine).  Every
 /// grade of the problem is one search under that budget and backend.  A
 /// body with any other key, or a known key of the wrong JSON type, is
 /// answered `400` naming the field.
@@ -217,7 +217,7 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
                 return (
                     422,
                     error_json(&format!(
-                        "unknown backend '{backend_name}' (expected cegis, enum or portfolio)"
+                        "unknown backend '{backend_name}' (expected cegis or enum)"
                     )),
                 );
             }

@@ -12,6 +12,10 @@
 //! reactor owns one parser per connection.  Leftover bytes after a
 //! complete request (pipelining) stay buffered; call `feed(&[])` to drain
 //! them before reading from the socket again.
+//!
+//! The parser's branches carry `afg_cov::cov_hit!()` hooks for the
+//! coverage-guided `http` fuzz target; they compile to nothing unless the
+//! fuzzer turns coverage on.
 
 /// Largest accepted request body (a submission corpus for batch grading).
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
@@ -167,9 +171,11 @@ impl RequestParser {
     /// flushed and parsed as if it had been terminated.
     pub fn eof(&mut self) -> EofOutcome {
         if let ParserState::Failed(err) = &self.state {
+            afg_cov::cov_hit!();
             return EofOutcome::Error(err.clone());
         }
         if self.is_idle() {
+            afg_cov::cov_hit!();
             return EofOutcome::Closed;
         }
         let parse = self.advance(true);
@@ -178,7 +184,10 @@ impl RequestParser {
             Parse::Complete(request) => EofOutcome::Complete(request),
             Parse::Error(err) => EofOutcome::Error(err),
             Parse::Partial => match &self.state {
-                ParserState::Body { .. } => EofOutcome::Drop,
+                ParserState::Body { .. } => {
+                    afg_cov::cov_hit!();
+                    EofOutcome::Drop
+                }
                 _ => EofOutcome::Closed,
             },
         }
@@ -208,16 +217,20 @@ impl RequestParser {
                 // The cap counts bytes *before* the newline, matching the
                 // old byte-at-a-time reader exactly.
                 if i > MAX_HEADER_LINE {
+                    afg_cov::cov_hit!();
                     return Err(ParseError::TooLarge);
                 }
+                afg_cov::cov_hit!();
                 self.pos = start + i + 1;
                 Ok(Some(start..start + i + 1))
             }
             None => {
                 if avail.len() > MAX_HEADER_LINE {
+                    afg_cov::cov_hit!();
                     return Err(ParseError::TooLarge);
                 }
                 if at_eof && !avail.is_empty() {
+                    afg_cov::cov_hit!();
                     self.pos = self.buf.len();
                     Ok(Some(start..self.buf.len()))
                 } else {
@@ -232,6 +245,7 @@ impl RequestParser {
             let state = std::mem::replace(&mut self.state, ParserState::Head { request: None });
             match state {
                 ParserState::Failed(err) => {
+                    afg_cov::cov_hit!();
                     self.state = ParserState::Failed(err.clone());
                     return Parse::Error(err);
                 }
@@ -240,6 +254,7 @@ impl RequestParser {
                         Ok(Some(range)) => range,
                         Ok(None) => {
                             if at_eof && request.is_some() {
+                                afg_cov::cov_hit!();
                                 return self
                                     .fail(ParseError::Malformed("eof inside headers".into()));
                             }
@@ -249,16 +264,21 @@ impl RequestParser {
                         Err(err) => return self.fail(err),
                     };
                     let Ok(line) = std::str::from_utf8(&self.buf[range]) else {
+                        afg_cov::cov_hit!();
                         return self.fail(ParseError::Malformed("non-UTF-8 header bytes".into()));
                     };
                     match request {
                         None => match parse_request_line(line) {
                             Ok(request) => {
+                                afg_cov::cov_hit!();
                                 self.state = ParserState::Head {
                                     request: Some(request),
                                 };
                             }
-                            Err(err) => return self.fail(err),
+                            Err(err) => {
+                                afg_cov::cov_hit!();
+                                return self.fail(err);
+                            }
                         },
                         Some(mut request) => {
                             let trimmed = line.trim_end_matches(['\r', '\n']);
@@ -266,10 +286,12 @@ impl RequestParser {
                                 // End of headers: body bookkeeping.
                                 match body_length(&request) {
                                     Ok(0) => {
+                                        afg_cov::cov_hit!();
                                         self.state = ParserState::Head { request: None };
                                         return Parse::Complete(request);
                                     }
                                     Ok(needed) => {
+                                        afg_cov::cov_hit!();
                                         request.body.reserve(needed.min(64 * 1024));
                                         self.state = ParserState::Body { request, needed };
                                     }
@@ -277,13 +299,16 @@ impl RequestParser {
                                 }
                             } else {
                                 if request.headers.len() >= MAX_HEADERS {
+                                    afg_cov::cov_hit!();
                                     return self.fail(ParseError::TooLarge);
                                 }
                                 let Some((name, value)) = trimmed.split_once(':') else {
+                                    afg_cov::cov_hit!();
                                     return self.fail(ParseError::Malformed(format!(
                                         "bad header: {trimmed:?}"
                                     )));
                                 };
+                                afg_cov::cov_hit!();
                                 request.headers.push((
                                     name.trim().to_ascii_lowercase(),
                                     value.trim().to_string(),
@@ -306,9 +331,11 @@ impl RequestParser {
                     self.pos += take;
                     needed -= take;
                     if needed == 0 {
+                        afg_cov::cov_hit!();
                         self.state = ParserState::Head { request: None };
                         return Parse::Complete(request);
                     }
+                    afg_cov::cov_hit!();
                     self.state = ParserState::Body { request, needed };
                     return Parse::Partial;
                 }
@@ -321,9 +348,11 @@ fn parse_request_line(line: &str) -> Result<Request, ParseError> {
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
+        afg_cov::cov_hit!();
         return Err(ParseError::Malformed(format!("bad request line: {line:?}")));
     };
     if !version.starts_with("HTTP/") {
+        afg_cov::cov_hit!();
         return Err(ParseError::Malformed(format!("bad version: {version:?}")));
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
@@ -342,6 +371,7 @@ fn body_length(request: &Request) -> Result<usize, ParseError> {
     // 0" would let its payload be parsed as the *next* request on this
     // keep-alive connection (request smuggling) — reject instead.
     if request.header("transfer-encoding").is_some() {
+        afg_cov::cov_hit!();
         return Err(ParseError::Malformed(
             "transfer-encoding is not supported".into(),
         ));
@@ -359,6 +389,7 @@ fn body_length(request: &Request) -> Result<usize, ParseError> {
         None => 0,
         Some(value) => {
             if values.any(|other| other != value) {
+                afg_cov::cov_hit!();
                 return Err(ParseError::Malformed(
                     "conflicting content-length headers".into(),
                 ));
@@ -366,14 +397,16 @@ fn body_length(request: &Request) -> Result<usize, ParseError> {
             match value.parse::<usize>() {
                 Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
                 _ => {
+                    afg_cov::cov_hit!();
                     return Err(ParseError::Malformed(format!(
                         "bad content-length: {value:?}"
-                    )))
+                    )));
                 }
             }
         }
     };
     if content_length > MAX_BODY {
+        afg_cov::cov_hit!();
         return Err(ParseError::TooLarge);
     }
     Ok(content_length)

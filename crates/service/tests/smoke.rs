@@ -200,7 +200,7 @@ fn registers_a_custom_problem_from_eml_text_and_batch_grades() {
 }
 
 #[test]
-fn registers_with_portfolio_backend() {
+fn registers_with_enum_backend() {
     let (handle, mut client) = boot();
 
     let (status, registered) = client
@@ -208,8 +208,8 @@ fn registers_with_portfolio_backend() {
             "/problems",
             &Json::object([
                 ("problem", Json::str("compDeriv")),
-                ("id", Json::str("deriv-portfolio")),
-                ("backend", Json::str("portfolio")),
+                ("id", Json::str("deriv-enum")),
+                ("backend", Json::str("enum")),
                 ("max_candidates", Json::Int(2000)),
                 ("time_budget_ms", Json::Int(600_000)),
             ]),
@@ -218,24 +218,18 @@ fn registers_with_portfolio_backend() {
     assert_eq!(status, 201, "{registered}");
     assert_eq!(
         registered.get("backend").and_then(Json::as_str),
-        Some("portfolio")
+        Some("enum")
     );
 
     let body = Json::object([("source", Json::str(BUGGY))]);
-    let (status, graded) = client
-        .post("/problems/deriv-portfolio/grade", &body)
-        .unwrap();
+    let (status, graded) = client.post("/problems/deriv-enum/grade", &body).unwrap();
     assert_eq!(status, 200, "{graded}");
     assert_eq!(
         graded.get("outcome").and_then(Json::as_str),
         Some("feedback")
     );
     let stats = graded.get("feedback").and_then(|f| f.get("stats")).unwrap();
-    let winner = stats.get("strategy").and_then(Json::as_str).unwrap();
-    assert!(
-        winner == "cegis" || winner == "enum",
-        "portfolio feedback must name the winning strategy, got '{winner}'"
-    );
+    assert_eq!(stats.get("strategy").and_then(Json::as_str), Some("enum"));
 
     // /stats exposes the backend, the search budget in use (overrides
     // applied over the defaults) and solver-work totals.
@@ -244,12 +238,9 @@ fn registers_with_portfolio_backend() {
     let problems = stats.get("problems").and_then(Json::as_array).unwrap();
     let entry = problems
         .iter()
-        .find(|p| p.get("id").and_then(Json::as_str) == Some("deriv-portfolio"))
+        .find(|p| p.get("id").and_then(Json::as_str) == Some("deriv-enum"))
         .expect("registered problem listed");
-    assert_eq!(
-        entry.get("backend").and_then(Json::as_str),
-        Some("portfolio")
-    );
+    assert_eq!(entry.get("backend").and_then(Json::as_str), Some("enum"));
     let budget = entry.get("budget").expect("search budget");
     assert_eq!(budget.get("max_cost").and_then(Json::as_i64), Some(3));
     assert_eq!(
@@ -267,21 +258,21 @@ fn registers_with_portfolio_backend() {
         .is_some());
 
     // Unknown backends are rejected with a helpful message.
-    let (status, body) = client
-        .post(
-            "/problems",
-            &Json::object([
-                ("problem", Json::str("compDeriv")),
-                ("backend", Json::str("sketch")),
-            ]),
-        )
-        .unwrap();
-    assert_eq!(status, 422);
-    assert!(body
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("unknown backend"));
+    for name in ["sketch", "portfolio"] {
+        let (status, body) = client
+            .post(
+                "/problems",
+                &Json::object([
+                    ("problem", Json::str("compDeriv")),
+                    ("backend", Json::str(name)),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(status, 422, "{name}");
+        let error = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("unknown backend"), "{error}");
+        assert!(error.contains("expected cegis or enum"), "{error}");
+    }
 
     handle.shutdown();
 }

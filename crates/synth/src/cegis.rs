@@ -38,7 +38,7 @@ use afg_sat::{SatResult, Solver};
 use crate::bitset::IndexBitset;
 use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats, WarmStart};
 use crate::encode::ChoiceEncoding;
-use crate::strategy::{CancelToken, SearchStrategy};
+use crate::strategy::SearchStrategy;
 
 /// The SAT-backed CEGIS/CEGISMIN synthesizer.
 #[derive(Debug, Clone, Default)]
@@ -58,18 +58,7 @@ impl SearchStrategy for CegisSolver {
 
     /// Searches for a minimal-cost choice assignment that makes the
     /// transformed submission equivalent to the reference on the bounded
-    /// input space.
-    fn synthesize_with(
-        &self,
-        program: &ChoiceProgram,
-        oracle: &EquivalenceOracle,
-        config: &SynthesisConfig,
-        cancel: &CancelToken,
-    ) -> SynthesisOutcome {
-        self.synthesize_with_hint(program, oracle, config, None, cancel)
-    }
-
-    /// As [`CegisSolver::synthesize_with`], but seeded with a transferred
+    /// input space, optionally seeded with a transferred
     /// hypothesis: the verified minimal repair of a *skeleton cluster-mate*
     /// plus its counterexample set.  The hypothesis is verified with one
     /// bounded sweep before it is trusted; on success the CEGISMIN descent
@@ -83,7 +72,6 @@ impl SearchStrategy for CegisSolver {
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
         warm: Option<&WarmStart>,
-        cancel: &CancelToken,
     ) -> SynthesisOutcome {
         let start = Instant::now();
         let mut stats = SynthesisStats {
@@ -177,7 +165,7 @@ impl SearchStrategy for CegisSolver {
         let mut proven_minimal = false;
 
         loop {
-            if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+            if start.elapsed() > config.time_budget {
                 stats.wall_clock_limited = true;
                 break;
             }
@@ -204,15 +192,6 @@ impl SearchStrategy for CegisSolver {
             };
 
             stats.candidates_checked += 1;
-
-            // Cancellation is polled once more between the SAT call and the
-            // verification sweep — the two potentially long steps of an
-            // iteration — so a portfolio loser stands down without paying
-            // for one last full bounded-input pass.
-            if cancel.is_cancelled() {
-                stats.wall_clock_limited = true;
-                break;
-            }
 
             // Verification phase: bounded-exhaustive equivalence check with
             // the assignment loaded into the session's bytecode VM,
@@ -439,13 +418,8 @@ def computeDeriv(poly_list_int):
             assignment: donor.assignment.clone(),
             counterexamples: donor.counterexamples.clone(),
         };
-        let warm_outcome = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&warm),
-            &CancelToken::new(),
-        );
+        let warm_outcome =
+            CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&warm));
         let warm_solution = warm_outcome.solution().expect("fixable");
         assert_eq!(warm_solution.cost, donor.cost, "cost-identical to cold");
         assert!(warm_solution.minimal, "the descent still proves minimality");
@@ -470,13 +444,7 @@ def computeDeriv(poly_list_int):
             assignment: afg_eml::ChoiceAssignment::default_choices(),
             counterexamples: vec![0],
         };
-        let refuted = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&bogus),
-            &CancelToken::new(),
-        );
+        let refuted = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&bogus));
         // Cost-0 hypotheses are rejected up front (the default assignment
         // is already known bad), so this counts as no attempt.
         let refuted_solution = refuted.solution().expect("fixable");
@@ -490,20 +458,14 @@ def computeDeriv(poly_list_int):
             assignment: afg_eml::ChoiceAssignment::from_pairs([(afg_eml::ChoiceId(9_999), 1)]),
             counterexamples: vec![99_999],
         };
-        let ignored = CegisSolver::new().synthesize_with_hint(
-            &cp,
-            &oracle,
-            &config,
-            Some(&misfit),
-            &CancelToken::new(),
-        );
+        let ignored = CegisSolver::new().synthesize_with_hint(&cp, &oracle, &config, Some(&misfit));
         let ignored_solution = ignored.solution().expect("fixable");
         assert_eq!(ignored_solution.cost, donor.cost);
         assert!(!ignored_solution.stats.warm_start_attempted);
     }
 
     #[test]
-    fn cancellation_stops_the_search_cooperatively() {
+    fn wall_clock_budget_stops_the_search_before_any_candidate() {
         let student = parse_program(
             "def computeDeriv(poly):\n    if len(poly) == 1:\n        return [0]\n    out = []\n    for i in range(0, len(poly)):\n        out.append(i * poly[i])\n    return out\n",
         )
@@ -514,15 +476,25 @@ def computeDeriv(poly_list_int):
             &library::compute_deriv_model(),
         )
         .unwrap();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let outcome =
-            CegisSolver::new().synthesize_with(&cp, &oracle(), &SynthesisConfig::fast(), &cancel);
-        // A pre-cancelled search gives up before proposing any candidate
-        // (the cheap already-correct check still runs).
-        match outcome {
-            SynthesisOutcome::Timeout(stats) => assert_eq!(stats.cegis_iterations, 0),
-            other => panic!("expected Timeout from a cancelled search, got {other:?}"),
+        let config = SynthesisConfig {
+            time_budget: std::time::Duration::ZERO,
+            ..SynthesisConfig::fast()
+        };
+        // An exhausted wall clock stops either engine before it proposes a
+        // candidate (the cheap already-correct check still runs), and the
+        // outcome says so, which is what keeps it out of the cache.
+        let engines: [&dyn SearchStrategy; 2] = [
+            &CegisSolver::new(),
+            &crate::enumerate::EnumerativeSolver::new(),
+        ];
+        for engine in engines {
+            match engine.synthesize(&cp, &oracle(), &config) {
+                SynthesisOutcome::Timeout(stats) => {
+                    assert_eq!(stats.cegis_iterations, 0, "{}", engine.name());
+                    assert!(stats.wall_clock_limited, "{}", engine.name());
+                }
+                other => panic!("{}: expected Timeout, got {other:?}", engine.name()),
+            }
         }
     }
 

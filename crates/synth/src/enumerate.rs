@@ -14,8 +14,8 @@ use afg_eml::{ChoiceAssignment, ChoiceProgram};
 use afg_interp::{ChoiceSession, EquivalenceOracle};
 
 use crate::bitset::IndexBitset;
-use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats};
-use crate::strategy::{CancelToken, SearchStrategy};
+use crate::config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats, WarmStart};
+use crate::strategy::SearchStrategy;
 
 /// Copies the session's verification-work counters into the final report
 /// and attaches the verification share to the current trace (if any).
@@ -44,13 +44,15 @@ impl SearchStrategy for EnumerativeSolver {
         "enum"
     }
 
-    /// Searches candidates in order of increasing correction count.
-    fn synthesize_with(
+    /// Searches candidates in order of increasing correction count.  A
+    /// warm-start hint is ignored: cost order already makes the first
+    /// accepted candidate minimal.
+    fn synthesize_with_hint(
         &self,
         program: &ChoiceProgram,
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
-        cancel: &CancelToken,
+        _warm: Option<&WarmStart>,
     ) -> SynthesisOutcome {
         let start = Instant::now();
         let mut stats = SynthesisStats {
@@ -82,7 +84,7 @@ impl SearchStrategy for EnumerativeSolver {
         for cost in 1..=config.max_cost.min(sites.len()) {
             let mut combination = (0..cost).collect::<Vec<usize>>();
             loop {
-                if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+                if start.elapsed() > config.time_budget {
                     stats.wall_clock_limited = true;
                     harvest_sweeps(&mut stats, &session);
                     stats.elapsed = start.elapsed();
@@ -130,7 +132,7 @@ impl SearchStrategy for EnumerativeSolver {
                             }
                         }
                     }
-                    if cancel.is_cancelled() || start.elapsed() > config.time_budget {
+                    if start.elapsed() > config.time_budget {
                         stats.wall_clock_limited = true;
                         harvest_sweeps(&mut stats, &session);
                         stats.elapsed = start.elapsed();

@@ -6,8 +6,8 @@
 //! student submission behaviourally equivalent to the reference on all
 //! inputs of a bounded size.
 //!
-//! Every back end implements the [`SearchStrategy`] trait (one entry point,
-//! cooperative cancellation through [`CancelToken`]):
+//! Both back ends implement the [`SearchStrategy`] trait, and [`Backend`]
+//! selects one of them by value; every grade runs exactly one search:
 //!
 //! * [`CegisSolver`] — the paper's approach: choice selectors are encoded as
 //!   boolean variables in a SAT solver (`afg-sat`), candidates are proposed
@@ -19,8 +19,6 @@
 //! * [`EnumerativeSolver`] — a branch-and-bound baseline that explores
 //!   candidates in order of increasing cost, used for ablation benchmarks
 //!   and as an independent correctness check.
-//! * [`PortfolioSolver`] — races the two on std threads and cancels the
-//!   losers as soon as one returns a proven-minimal result.
 //!
 //! # Example
 //!
@@ -52,15 +50,13 @@ mod cegis;
 mod config;
 mod encode;
 mod enumerate;
-mod portfolio;
 mod strategy;
 
 pub use cegis::CegisSolver;
 pub use config::{Solution, SynthesisConfig, SynthesisOutcome, SynthesisStats, WarmStart};
 pub use encode::{instrument, ChoiceEncoding};
 pub use enumerate::EnumerativeSolver;
-pub use portfolio::PortfolioSolver;
-pub use strategy::{CancelToken, SearchStrategy};
+pub use strategy::SearchStrategy;
 
 /// Which synthesis back end to use — the value-level selector over the
 /// [`SearchStrategy`] implementations, as carried in configuration, CLI
@@ -72,30 +68,26 @@ pub enum Backend {
     Cegis,
     /// Cost-ordered enumerative branch-and-bound (ablation baseline).
     Enumerative,
-    /// CEGIS and enumeration raced; first proven-minimal result wins.
-    Portfolio,
 }
 
 impl Backend {
     /// Every backend, in presentation order.
-    pub const ALL: [Backend; 3] = [Backend::Cegis, Backend::Enumerative, Backend::Portfolio];
+    pub const ALL: [Backend; 2] = [Backend::Cegis, Backend::Enumerative];
 
     /// The stable identifier used on CLI flags and in JSON.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Cegis => "cegis",
             Backend::Enumerative => "enum",
-            Backend::Portfolio => "portfolio",
         }
     }
 
-    /// Parses a backend identifier (`"cegis"`, `"enum"`/`"enumerative"`,
-    /// `"portfolio"`); `None` for anything else.
+    /// Parses a backend identifier (`"cegis"`, `"enum"`/`"enumerative"`);
+    /// `None` for anything else.
     pub fn parse(text: &str) -> Option<Backend> {
         match text {
             "cegis" => Some(Backend::Cegis),
             "enum" | "enumerative" => Some(Backend::Enumerative),
-            "portfolio" => Some(Backend::Portfolio),
             _ => None,
         }
     }
@@ -105,7 +97,6 @@ impl Backend {
         match self {
             Backend::Cegis => Box::new(CegisSolver::new()),
             Backend::Enumerative => Box::new(EnumerativeSolver::new()),
-            Backend::Portfolio => Box::new(PortfolioSolver::new()),
         }
     }
 
@@ -119,18 +110,6 @@ impl Backend {
         self.strategy().synthesize(program, oracle, config)
     }
 
-    /// Runs the selected back end under a cancellation token.
-    pub fn synthesize_with(
-        self,
-        program: &afg_eml::ChoiceProgram,
-        oracle: &afg_interp::EquivalenceOracle,
-        config: &SynthesisConfig,
-        cancel: &CancelToken,
-    ) -> SynthesisOutcome {
-        self.strategy()
-            .synthesize_with(program, oracle, config, cancel)
-    }
-
     /// Runs the selected back end to completion with an optional
     /// transferred [`WarmStart`] hypothesis (see
     /// [`SearchStrategy::synthesize_with_hint`]).
@@ -142,7 +121,7 @@ impl Backend {
         warm: Option<&WarmStart>,
     ) -> SynthesisOutcome {
         self.strategy()
-            .synthesize_with_hint(program, oracle, config, warm, &CancelToken::new())
+            .synthesize_with_hint(program, oracle, config, warm)
     }
 }
 

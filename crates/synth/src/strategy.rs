@@ -1,152 +1,44 @@
-//! The [`SearchStrategy`] abstraction and cooperative cancellation.
+//! The [`SearchStrategy`] abstraction.
 //!
-//! Every synthesis back end — SAT-backed CEGIS, enumerative
-//! branch-and-bound, and the portfolio that races them — implements one
-//! trait, so the grading pipeline, the service and the experiment harness
-//! select a search engine by value instead of hard-coding entry points.
-//! Cancellation is cooperative: long-running strategies poll a shared
-//! [`CancelToken`] between candidates and stand down with their best result
-//! so far, which is how the portfolio stops the losers the moment one
-//! strategy proves a minimal repair.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+//! Both synthesis back ends — SAT-backed CEGIS and enumerative
+//! branch-and-bound — implement one trait, so the grading pipeline, the
+//! service and the experiment harness select a search engine by value
+//! instead of hard-coding entry points.  A search stops on its candidate
+//! budget or its wall-clock budget, whichever comes first; nothing else
+//! interrupts it.
 
 use afg_eml::ChoiceProgram;
 use afg_interp::EquivalenceOracle;
 
 use crate::config::{SynthesisConfig, SynthesisOutcome, WarmStart};
 
-/// A shareable, hierarchical cancellation flag.
-///
-/// Clones observe the same flag.  A token created with
-/// [`CancelToken::child`] is additionally cancelled whenever any ancestor
-/// is — the portfolio hands each racer a child of the caller's token, so an
-/// outer cancellation (e.g. a grading request torn down by the service)
-/// propagates into the race while the race's own "we have a winner" signal
-/// stays local.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-#[derive(Debug, Default)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    parent: Option<CancelToken>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// A token that is cancelled when either it or `self` (or any of
-    /// `self`'s ancestors) is cancelled.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                parent: Some(self.clone()),
-            }),
-        }
-    }
-
-    /// Requests cancellation.  Irrevocable; already-cancelled is a no-op.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether this token or any ancestor has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        match &self.inner.parent {
-            Some(parent) => parent.is_cancelled(),
-            None => false,
-        }
-    }
-}
-
 /// A synthesis back end: searches the choice space of `program` for a
 /// minimal-cost assignment accepted by the equivalence oracle.
-///
-/// Implementations must be cheap to share across threads (`Send + Sync`):
-/// the portfolio runs several strategies concurrently against the same
-/// borrowed program and oracle.
-pub trait SearchStrategy: Send + Sync {
-    /// Short stable identifier (`"cegis"`, `"enum"`, `"portfolio"`),
-    /// reported in [`crate::SynthesisStats::strategy`].
+pub trait SearchStrategy {
+    /// Short stable identifier (`"cegis"`, `"enum"`), reported in
+    /// [`crate::SynthesisStats::strategy`].
     fn name(&self) -> &'static str;
 
-    /// Runs the search, polling `cancel` cooperatively.  A cancelled
-    /// strategy returns its best result so far ([`SynthesisOutcome::Fixed`]
-    /// with `minimal == false`, or [`SynthesisOutcome::Timeout`]).
-    fn synthesize_with(
-        &self,
-        program: &ChoiceProgram,
-        oracle: &EquivalenceOracle,
-        config: &SynthesisConfig,
-        cancel: &CancelToken,
-    ) -> SynthesisOutcome;
-
     /// Runs the search with an optional transferred [`WarmStart`]
-    /// hypothesis from a cluster representative.  The default
-    /// implementation ignores the hint — strategies that can exploit it
-    /// (CEGIS starts its minimisation descent at the verified hypothesis
-    /// cost) override this; either way the outcome must stay
-    /// cost-identical to the hint-free search.
+    /// hypothesis from a cluster representative.  Strategies that can
+    /// exploit it (CEGIS starts its minimisation descent at the verified
+    /// hypothesis cost) do; others ignore it.  Either way the outcome must
+    /// stay cost-identical to the hint-free search.
     fn synthesize_with_hint(
         &self,
         program: &ChoiceProgram,
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
-        _warm: Option<&WarmStart>,
-        cancel: &CancelToken,
-    ) -> SynthesisOutcome {
-        self.synthesize_with(program, oracle, config, cancel)
-    }
+        warm: Option<&WarmStart>,
+    ) -> SynthesisOutcome;
 
-    /// Runs the search to completion (no external cancellation).
+    /// Runs the search without a hint.
     fn synthesize(
         &self,
         program: &ChoiceProgram,
         oracle: &EquivalenceOracle,
         config: &SynthesisConfig,
     ) -> SynthesisOutcome {
-        self.synthesize_with(program, oracle, config, &CancelToken::new())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clones_share_cancellation() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!clone.is_cancelled());
-        token.cancel();
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn children_observe_ancestors_but_not_vice_versa() {
-        let root = CancelToken::new();
-        let child = root.child();
-        let grandchild = child.child();
-
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(grandchild.is_cancelled());
-        assert!(!root.is_cancelled(), "cancellation must not flow upward");
-
-        let other_child = root.child();
-        assert!(!other_child.is_cancelled());
-        root.cancel();
-        assert!(other_child.is_cancelled());
+        self.synthesize_with_hint(program, oracle, config, None)
     }
 }
