@@ -96,10 +96,6 @@ fn main() {
             rows.iter().map(|r| r.sat_learnts).sum::<u64>().to_json(),
         ),
         (
-            "restarts",
-            rows.iter().map(|r| r.restarts).sum::<u64>().to_json(),
-        ),
-        (
             "timeouts",
             rows.iter().map(|r| r.timeouts).sum::<usize>().to_json(),
         ),
@@ -156,14 +152,19 @@ fn main() {
             sweep_ns_per_input(&rows)
         );
         println!(
-            "Solver: {} conflicts, {} learnts, {} propagations, {} restarts, {} timeouts ({} backend)",
-            solver.get("sat_conflicts").and_then(Json::as_i64).unwrap_or(0),
-            solver.get("sat_learnts").and_then(Json::as_i64).unwrap_or(0),
+            "Solver: {} conflicts, {} learnts, {} propagations, {} timeouts ({} backend)",
+            solver
+                .get("sat_conflicts")
+                .and_then(Json::as_i64)
+                .unwrap_or(0),
+            solver
+                .get("sat_learnts")
+                .and_then(Json::as_i64)
+                .unwrap_or(0),
             solver
                 .get("sat_propagations")
                 .and_then(Json::as_i64)
                 .unwrap_or(0),
-            solver.get("restarts").and_then(Json::as_i64).unwrap_or(0),
             solver.get("timeouts").and_then(Json::as_i64).unwrap_or(0),
             options.backend.name()
         );

@@ -79,8 +79,6 @@ pub struct Table1Row {
     pub sat_propagations: u64,
     /// SAT learnt clauses summed over the fixed attempts.
     pub sat_learnts: u64,
-    /// SAT restarts summed over the fixed attempts.
-    pub restarts: u64,
     /// Verification sweeps summed over the fixed attempts.
     pub sweeps: u64,
     /// Candidate executions across those sweeps (one per
@@ -185,7 +183,6 @@ impl afg_json::ToJson for Table1Row {
             ("sat_conflicts", self.sat_conflicts.to_json()),
             ("sat_propagations", self.sat_propagations.to_json()),
             ("sat_learnts", self.sat_learnts.to_json()),
-            ("restarts", self.restarts.to_json()),
             ("sweeps", self.sweeps.to_json()),
             ("sweep_inputs", self.sweep_inputs.to_json()),
             ("verify_ms", self.verify_elapsed.to_json()),
@@ -235,7 +232,6 @@ impl afg_json::FromJson for Table1Row {
             sat_conflicts: wide("sat_conflicts")?,
             sat_propagations: wide("sat_propagations")?,
             sat_learnts: wide("sat_learnts")?,
-            restarts: wide("restarts")?,
             // Absent in pre-sweep documents: read as 0.
             sweeps: wide("sweeps").unwrap_or(0),
             sweep_inputs: wide("sweep_inputs").unwrap_or(0),
@@ -349,7 +345,6 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
     let mut sat_conflicts = 0u64;
     let mut sat_propagations = 0u64;
     let mut sat_learnts = 0u64;
-    let mut restarts = 0u64;
     let mut sweeps = 0u64;
     let mut sweep_inputs = 0u64;
     let mut verify_elapsed = Duration::ZERO;
@@ -357,7 +352,6 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_conflicts += stats.sat_conflicts;
         sat_propagations += stats.sat_propagations;
         sat_learnts += stats.sat_learnts;
-        restarts += stats.restarts;
         sweeps += stats.sweeps;
         sweep_inputs += stats.sweep_inputs;
         verify_elapsed += stats.verify_elapsed;
@@ -397,7 +391,6 @@ fn aggregate(problem: &Problem, records: &[GradeRecord]) -> Table1Row {
         sat_conflicts,
         sat_propagations,
         sat_learnts,
-        restarts,
         sweeps,
         sweep_inputs,
         verify_elapsed,
@@ -757,7 +750,6 @@ mod tests {
             sat_conflicts: 0,
             sat_propagations: 0,
             sat_learnts: 0,
-            restarts: 0,
             sweeps: 0,
             sweep_inputs: 0,
             verify_elapsed: Duration::ZERO,
@@ -787,7 +779,6 @@ mod tests {
             sat_conflicts: 420,
             sat_propagations: 99_000,
             sat_learnts: 77,
-            restarts: 3,
             sweeps: 1_200,
             sweep_inputs: 48_000,
             verify_elapsed: Duration::from_millis(36),

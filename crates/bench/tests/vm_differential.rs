@@ -3,14 +3,17 @@
 //! output, same fuel consumption — on every corpus program, on seeded
 //! mutants of every corpus program, and on the arithmetic edge cases that
 //! historically diverged between naive implementations (`0 ** 1000`,
-//! `i64::MIN // -1`, sequence-repetition bounds).  A separate test pins
+//! `i64::MIN // -1`, sequence-repetition bounds).  Compiled choice
+//! programs are held to the same standard: every single-site selection of
+//! every corpus choice program must run exactly like its concretized
+//! candidate on the tree walker.  A separate test pins
 //! fuel-exhaustion parity across whole budget ranges, and another checks
 //! that the sweep verdict cache never changes a `find_counterexample`
 //! answer (the cached session ≡ the concretized candidate on the tree
 //! walker, including repeated queries that exercise the hit path).
 
 use afg_corpus::rng::StdRng;
-use afg_corpus::{mutate_program, problems};
+use afg_corpus::{generate_corpus, mutate_program, problems, CorpusSpec, Origin};
 use afg_eml::{apply_error_model, ChoiceAssignment};
 use afg_interp::{
     CompiledProgram, EquivalenceConfig, EquivalenceOracle, ExecLimits, Interpreter, RuntimeError,
@@ -28,8 +31,29 @@ fn assert_backends_agree(
 ) {
     let compiled = CompiledProgram::from_program(program, Some(entry))
         .unwrap_or_else(|| panic!("every program with an entry compiles ({context})"));
-    let mut vm = Vm::new(limits);
-    let vm_result = vm.run(&compiled, args);
+    assert_runs_agree(
+        &mut Vm::new(limits),
+        &compiled,
+        program,
+        entry,
+        args,
+        limits,
+        context,
+    );
+}
+
+/// Runs `compiled` on `vm` (with whatever selection it holds) and `program`
+/// on the tree walker, and asserts result, output and fuel agreement.
+fn assert_runs_agree(
+    vm: &mut Vm,
+    compiled: &CompiledProgram,
+    program: &afg_ast::Program,
+    entry: &str,
+    args: &[Value],
+    limits: ExecLimits,
+    context: &str,
+) {
+    let vm_result = vm.run(compiled, args);
     let mut interp = Interpreter::with_limits(program, limits);
     let tree_result = interp.call_entry(Some(entry), args);
     match (&vm_result, &tree_result) {
@@ -94,6 +118,68 @@ fn vm_matches_tree_on_all_corpus_programs_and_seeded_mutants() {
             }
         }
     }
+}
+
+/// Grading compiles choice programs: every problem's model applied to its
+/// `table1_like` submissions that were generated incorrect (mutated,
+/// conceptual or trivial).  Under the all-default selection and every
+/// single non-default selection, `Vm::select` + `run` must agree with the
+/// tree walker on the concretized candidate — result, output and fuel —
+/// on a prefix of the problem's input deck.
+#[test]
+fn choice_programs_match_their_concretizations_across_the_corpus() {
+    let limits = ExecLimits::fast();
+    let mut runs = 0;
+    for problem in problems::all_problems() {
+        let reference = afg_parser::parse_program(problem.reference).expect("references parse");
+        let oracle = EquivalenceOracle::from_reference(
+            &reference,
+            EquivalenceConfig {
+                entry: Some(problem.entry.to_string()),
+                limits,
+                ..EquivalenceConfig::default()
+            },
+        );
+        let inputs = &oracle.inputs()[..oracle.inputs().len().min(6)];
+        let submissions = generate_corpus(&problem, &CorpusSpec::table1_like(20, 20130616));
+        for (s, submission) in submissions.iter().enumerate() {
+            if matches!(submission.origin, Origin::Correct | Origin::SyntaxError) {
+                continue;
+            }
+            let program = afg_parser::parse_program(&submission.source)
+                .expect("only syntax errors fail to parse");
+            let Ok(choices) = apply_error_model(&program, Some(problem.entry), &problem.model)
+            else {
+                continue;
+            };
+            let compiled = CompiledProgram::from_choice(&choices);
+            let mut selections = vec![ChoiceAssignment::default_choices()];
+            for info in &choices.choices {
+                for option in 1..info.options.len() {
+                    selections.push(ChoiceAssignment::from_pairs([(info.id, option)]));
+                }
+            }
+            let mut vm = Vm::new(limits);
+            for (a, assignment) in selections.iter().enumerate() {
+                let concrete = choices.concretize(assignment);
+                vm.select(&compiled, assignment);
+                for (i, args) in inputs.iter().enumerate() {
+                    let context = format!("{} submission {s} selection {a} input {i}", problem.id);
+                    assert_runs_agree(
+                        &mut vm,
+                        &compiled,
+                        &concrete,
+                        problem.entry,
+                        args,
+                        limits,
+                        &context,
+                    );
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert!(runs > 10_000, "only {runs} runs compared");
 }
 
 /// The arithmetic and sequence edge cases called out by the paper's error

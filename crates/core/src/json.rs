@@ -68,7 +68,6 @@ impl ToJson for Feedback {
                     ("sat_conflicts", self.stats.sat_conflicts.to_json()),
                     ("sat_propagations", self.stats.sat_propagations.to_json()),
                     ("sat_learnts", self.stats.sat_learnts.to_json()),
-                    ("restarts", self.stats.restarts.to_json()),
                     ("sweeps", self.stats.sweeps.to_json()),
                     ("sweep_inputs", self.stats.sweep_inputs.to_json()),
                     ("sweep_cache_hits", self.stats.sweep_cache_hits.to_json()),

@@ -2,9 +2,9 @@
 //! MPY / M̃PY programs plus a loop-based VM.
 //!
 //! The synthesis inner loop evaluates one candidate space on thousands of
-//! (assignment × input) pairs.  The tree walkers re-resolve every local
-//! through a `HashMap` frame and re-discover every choice site on every
-//! run; the compiler here does that work once per submission instead:
+//! (assignment × input) pairs.  The tree walker re-resolves every local
+//! through a `HashMap` frame and runs one concretized candidate at a time;
+//! the compiler here does that work once per submission instead:
 //!
 //! * locals are resolved to dense frame **slots** at compile time,
 //! * constants are interned into a constant pool,
@@ -15,12 +15,20 @@
 //!   per-candidate selection array, so no candidate AST is ever
 //!   materialised and no `BTreeMap` is consulted mid-run.
 //!
+//! There is one lowering.  M̃PY is MPY plus sets of expressions and
+//! statements, so each rule is written once, generic over a borrowed view
+//! of the node ([`Expr`] or [`CExpr`], [`Stmt`] or [`CStmt`]): a plain
+//! program is the choice-free instance, and a choice-free subtree of a
+//! choice program (`CExpr::Plain`) lowers through the MPY instance.
+//!
 //! Fuel parity is by construction: a one-unit [`Instr::Charge`] is emitted
 //! at exactly the points where [`crate::interp::Interpreter`] calls
 //! `charge(1)` (statement entry, expression-node entry, loop iterations),
 //! and choice constructs charge nothing, since they disappear when a
-//! candidate is concretized.  The `properties` integration test enforces
-//! result + output + fuel agreement differentially.
+//! candidate is concretized.  The `properties` and `vm_differential`
+//! integration tests enforce result + output + fuel agreement
+//! differentially, for plain programs and for every single-site selection
+//! of corpus choice programs.
 //!
 //! Compilation is total: every parsed program lowers, including mutating
 //! method calls whose receiver is an index chain (`a[i].append(x)`) or is
@@ -32,7 +40,7 @@
 use std::collections::HashMap;
 
 use afg_ast::ops::{BinOp, BoolOp, CmpOp, UnaryOp};
-use afg_ast::{Expr, FuncDef, Program, Stmt, StmtKind, Target};
+use afg_ast::{Expr, Param, Program, Stmt, StmtKind, Target};
 use afg_eml::{CExpr, CStmt, CStmtKind, ChoiceAssignment, ChoiceId, ChoiceProgram, OpChoice};
 
 use crate::builtins;
@@ -258,7 +266,7 @@ impl CompiledProgram {
         let funcs = program
             .funcs
             .iter()
-            .map(|func| compile_func(func, &resolver, &mut pools))
+            .map(|f| compile_func(&f.name, &f.params, &f.body, &resolver, &mut pools))
             .collect();
         Some(pools.finish(funcs, entry_index))
     }
@@ -273,9 +281,18 @@ impl CompiledProgram {
             choice_entry: Some(program.func.name.clone()),
             func_names,
         };
-        let mut funcs = vec![compile_cfunc(&program.func, &resolver, &mut pools)];
-        for func in &program.other_funcs {
-            funcs.push(compile_func(func, &resolver, &mut pools));
+        let entry = &program.func;
+        let mut funcs = vec![compile_func(
+            &entry.name,
+            &entry.params,
+            &entry.body,
+            &resolver,
+            &mut pools,
+        )];
+        for f in &program.other_funcs {
+            funcs.push(compile_func(
+                &f.name, &f.params, &f.body, &resolver, &mut pools,
+            ));
         }
         pools.finish(funcs, 0)
     }
@@ -513,7 +530,7 @@ impl Vm {
         argc: usize,
     ) -> Result<(), RuntimeError> {
         let func = &program.funcs[func_idx];
-        // Depth before arity, like `call_func` / `call_choice_func`.
+        // Depth before arity, like `Interpreter::call_func`.
         if self.depth >= self.limits.max_recursion {
             return Err(RuntimeError::RecursionLimit);
         }
@@ -1131,6 +1148,177 @@ struct LoopCtx {
     break_patches: Vec<usize>,
 }
 
+/// An operator position: fixed, or chosen from a table by a choice site.
+enum Op<'a, T> {
+    Fixed(T),
+    Choice(ChoiceId, &'a [T]),
+}
+
+/// One expression node, seen through the shape MPY's [`Expr`] and M̃PY's
+/// [`CExpr`] share, so that each lowering rule is written once for both.
+enum ExprView<'a, E> {
+    /// A choice-free M̃PY subtree, lowered as the MPY expression it is.
+    Plain(&'a Expr),
+    /// A set of alternative expressions; option 0 is the default.
+    Choice(ChoiceId, &'a [E]),
+    Int(i64),
+    Bool(bool),
+    Str(&'a str),
+    None,
+    Var(&'a str),
+    Dict(&'a [(Expr, Expr)]),
+    List(&'a [E]),
+    Tuple(&'a [E]),
+    Index(&'a E, &'a E),
+    Slice(&'a E, Option<&'a E>, Option<&'a E>),
+    BinOp(Op<'a, BinOp>, &'a E, &'a E),
+    UnaryOp(UnaryOp, &'a E),
+    Compare(Op<'a, CmpOp>, &'a E, &'a E),
+    BoolExpr(BoolOp, &'a E, &'a E),
+    Call(&'a str, &'a [E]),
+    MethodCall(&'a E, &'a str, &'a [E]),
+    IfExpr(&'a E, &'a E, &'a E),
+}
+
+/// An expression type the compiler lowers: [`Expr`] or [`CExpr`].  The
+/// `view` implementations are `#[inline]` so that building a view and
+/// matching on it fold into one match: without it, lowering measured
+/// about 10% slower.
+trait ExprNode: Sized {
+    fn view(&self) -> ExprView<'_, Self>;
+
+    /// The variable this node reads when it is a bare variable: the operand
+    /// the slot-direct instructions read in place.
+    fn as_var(&self) -> Option<&str> {
+        match self.view() {
+            ExprView::Var(name) => Some(name),
+            ExprView::Plain(Expr::Var(name)) => Some(name),
+            _ => None,
+        }
+    }
+}
+
+impl ExprNode for Expr {
+    #[inline]
+    fn view(&self) -> ExprView<'_, Expr> {
+        match self {
+            Expr::Int(v) => ExprView::Int(*v),
+            Expr::Bool(b) => ExprView::Bool(*b),
+            Expr::Str(s) => ExprView::Str(s),
+            Expr::None => ExprView::None,
+            Expr::Var(name) => ExprView::Var(name),
+            Expr::Dict(items) => ExprView::Dict(items),
+            Expr::List(items) => ExprView::List(items),
+            Expr::Tuple(items) => ExprView::Tuple(items),
+            Expr::Index(base, index) => ExprView::Index(base, index),
+            Expr::Slice(base, lower, upper) => {
+                ExprView::Slice(base, lower.as_deref(), upper.as_deref())
+            }
+            Expr::BinOp(op, l, r) => ExprView::BinOp(Op::Fixed(*op), l, r),
+            Expr::UnaryOp(op, e) => ExprView::UnaryOp(*op, e),
+            Expr::Compare(op, l, r) => ExprView::Compare(Op::Fixed(*op), l, r),
+            Expr::BoolExpr(op, l, r) => ExprView::BoolExpr(*op, l, r),
+            Expr::Call(name, args) => ExprView::Call(name, args),
+            Expr::MethodCall(recv, method, args) => ExprView::MethodCall(recv, method, args),
+            Expr::IfExpr(body, cond, orelse) => ExprView::IfExpr(body, cond, orelse),
+        }
+    }
+}
+
+impl ExprNode for CExpr {
+    #[inline]
+    fn view(&self) -> ExprView<'_, CExpr> {
+        fn op<T: Copy>(op: &OpChoice<T>) -> Op<'_, T> {
+            match op {
+                OpChoice::Fixed(op) => Op::Fixed(*op),
+                OpChoice::Choice(id, ops) => Op::Choice(*id, ops),
+            }
+        }
+        match self {
+            CExpr::Plain(e) => ExprView::Plain(e),
+            CExpr::Choice(id, options) => ExprView::Choice(*id, options),
+            CExpr::List(items) => ExprView::List(items),
+            CExpr::Tuple(items) => ExprView::Tuple(items),
+            CExpr::Index(base, index) => ExprView::Index(base, index),
+            CExpr::Slice(base, lower, upper) => {
+                ExprView::Slice(base, lower.as_deref(), upper.as_deref())
+            }
+            CExpr::BinOp(o, l, r) => ExprView::BinOp(op(o), l, r),
+            CExpr::UnaryOp(o, e) => ExprView::UnaryOp(*o, e),
+            CExpr::Compare(o, l, r) => ExprView::Compare(op(o), l, r),
+            CExpr::BoolExpr(o, l, r) => ExprView::BoolExpr(*o, l, r),
+            CExpr::Call(name, args) => ExprView::Call(name, args),
+            CExpr::MethodCall(recv, method, args) => ExprView::MethodCall(recv, method, args),
+            CExpr::IfExpr(body, cond, orelse) => ExprView::IfExpr(body, cond, orelse),
+        }
+    }
+}
+
+/// One statement, seen through the shape MPY's [`Stmt`] and M̃PY's
+/// [`CStmt`] share.
+enum StmtView<'a, S: StmtNode> {
+    /// A choice between alternative blocks; option 0 is the original.
+    ChoiceBlock(ChoiceId, &'a [Vec<S>]),
+    Assign(&'a Target, &'a S::Expr),
+    AugAssign(&'a Target, BinOp, &'a S::Expr),
+    ExprStmt(&'a S::Expr),
+    If(&'a S::Expr, &'a [S], &'a [S]),
+    While(&'a S::Expr, &'a [S]),
+    For(&'a str, &'a S::Expr, &'a [S]),
+    Return(Option<&'a S::Expr>),
+    Print(&'a [S::Expr]),
+    Pass,
+    Break,
+    Continue,
+}
+
+/// A statement type the compiler lowers: [`Stmt`] or [`CStmt`].
+trait StmtNode: Sized {
+    type Expr: ExprNode;
+    fn view(&self) -> StmtView<'_, Self>;
+}
+
+impl StmtNode for Stmt {
+    type Expr = Expr;
+    #[inline]
+    fn view(&self) -> StmtView<'_, Stmt> {
+        match &self.kind {
+            StmtKind::Assign(target, value) => StmtView::Assign(target, value),
+            StmtKind::AugAssign(target, op, value) => StmtView::AugAssign(target, *op, value),
+            StmtKind::ExprStmt(e) => StmtView::ExprStmt(e),
+            StmtKind::If(cond, then_body, else_body) => StmtView::If(cond, then_body, else_body),
+            StmtKind::While(cond, body) => StmtView::While(cond, body),
+            StmtKind::For(var, iter, body) => StmtView::For(var, iter, body),
+            StmtKind::Return(e) => StmtView::Return(e.as_ref()),
+            StmtKind::Print(args) => StmtView::Print(args),
+            StmtKind::Pass => StmtView::Pass,
+            StmtKind::Break => StmtView::Break,
+            StmtKind::Continue => StmtView::Continue,
+        }
+    }
+}
+
+impl StmtNode for CStmt {
+    type Expr = CExpr;
+    #[inline]
+    fn view(&self) -> StmtView<'_, CStmt> {
+        match &self.kind {
+            CStmtKind::ChoiceBlock(id, options) => StmtView::ChoiceBlock(*id, options),
+            CStmtKind::Assign(target, value) => StmtView::Assign(target, value),
+            CStmtKind::AugAssign(target, op, value) => StmtView::AugAssign(target, *op, value),
+            CStmtKind::ExprStmt(e) => StmtView::ExprStmt(e),
+            CStmtKind::If(cond, then_body, else_body) => StmtView::If(cond, then_body, else_body),
+            CStmtKind::While(cond, body) => StmtView::While(cond, body),
+            CStmtKind::For(var, iter, body) => StmtView::For(var, iter, body),
+            CStmtKind::Return(e) => StmtView::Return(e.as_ref()),
+            CStmtKind::Print(args) => StmtView::Print(args),
+            CStmtKind::Pass => StmtView::Pass,
+            CStmtKind::Break => StmtView::Break,
+            CStmtKind::Continue => StmtView::Continue,
+        }
+    }
+}
+
 struct FnCompiler<'a> {
     pools: &'a mut Pools,
     resolver: &'a Resolver,
@@ -1146,20 +1334,20 @@ struct FnCompiler<'a> {
     fence: usize,
 }
 
-fn compile_func(func: &FuncDef, resolver: &Resolver, pools: &mut Pools) -> CompiledFunc {
+/// Compiles one function, plain (`S = Stmt`) or choice-bearing
+/// (`S = CStmt`).
+fn compile_func<S: StmtNode>(
+    name: &str,
+    params: &[Param],
+    body: &[S],
+    resolver: &Resolver,
+    pools: &mut Pools,
+) -> CompiledFunc {
     let mut c = FnCompiler::new(pools, resolver);
-    let param_slots: Vec<u32> = func.params.iter().map(|p| c.slot(&p.name)).collect();
-    c.block(&func.body);
+    let param_slots: Vec<u32> = params.iter().map(|p| c.slot(&p.name)).collect();
+    c.block(body);
     c.emit(Instr::ReturnNone);
-    c.finish(func.name.clone(), param_slots)
-}
-
-fn compile_cfunc(func: &afg_eml::CFuncDef, resolver: &Resolver, pools: &mut Pools) -> CompiledFunc {
-    let mut c = FnCompiler::new(pools, resolver);
-    let param_slots: Vec<u32> = func.params.iter().map(|p| c.slot(&p.name)).collect();
-    c.cblock(&func.body);
-    c.emit(Instr::ReturnNone);
-    c.finish(func.name.clone(), param_slots)
+    c.finish(name.to_string(), param_slots)
 }
 
 impl<'a> FnCompiler<'a> {
@@ -1270,32 +1458,37 @@ impl<'a> FnCompiler<'a> {
         s
     }
 
-    // -- plain MPY ---------------------------------------------------------
-
-    fn block(&mut self, stmts: &[Stmt]) {
+    fn block<S: StmtNode>(&mut self, stmts: &[S]) {
         for stmt in stmts {
             self.stmt(stmt);
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt<S: StmtNode>(&mut self, stmt: &S) {
+        let view = stmt.view();
+        // Statement-level choices splice the selected block without
+        // charging, exactly like the concretized program.
+        if let StmtView::ChoiceBlock(id, options) = view {
+            return self.choice_dispatch(id, options.len(), |c, i| c.block(&options[i]));
+        }
         self.emit(Instr::Charge);
-        match &stmt.kind {
-            StmtKind::Assign(target, value) => {
+        match view {
+            StmtView::ChoiceBlock(..) => unreachable!("handled before charging"),
+            StmtView::Assign(target, value) => {
                 self.expr(value);
                 self.assign_target(target)
             }
-            StmtKind::AugAssign(target, op, value) => {
+            StmtView::AugAssign(target, op, value) => {
                 self.expr(value);
                 self.read_target(target);
-                self.emit(Instr::BinaryOpAug(*op));
+                self.emit(Instr::BinaryOpAug(op));
                 self.assign_target(target)
             }
-            StmtKind::ExprStmt(expr) => {
+            StmtView::ExprStmt(expr) => {
                 self.expr(expr);
                 self.emit(Instr::Pop);
             }
-            StmtKind::If(cond, then_body, else_body) => {
+            StmtView::If(cond, then_body, else_body) => {
                 self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
                 self.block(then_body);
@@ -1304,7 +1497,7 @@ impl<'a> FnCompiler<'a> {
                 self.block(else_body);
                 self.patch(jend);
             }
-            StmtKind::While(cond, body) => {
+            StmtView::While(cond, body) => {
                 let l_cond = self.here();
                 self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
@@ -1322,7 +1515,7 @@ impl<'a> FnCompiler<'a> {
                     self.patch(b);
                 }
             }
-            StmtKind::For(var, iter, body) => {
+            StmtView::For(var, iter, body) => {
                 self.iter_prep(iter);
                 let slot = self.slot(var);
                 let l_next = self.here();
@@ -1340,7 +1533,7 @@ impl<'a> FnCompiler<'a> {
                 }
                 self.emit(Instr::PopIter);
             }
-            StmtKind::Return(expr) => match expr {
+            StmtView::Return(expr) => match expr {
                 Some(e) => {
                     self.expr(e);
                     self.emit(Instr::ReturnV);
@@ -1349,14 +1542,14 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Instr::ReturnNone);
                 }
             },
-            StmtKind::Print(args) => {
+            StmtView::Print(args) => {
                 for arg in args {
                     self.expr(arg);
                 }
                 self.emit(Instr::PrintStmt(args.len() as u32));
             }
-            StmtKind::Pass => {}
-            StmtKind::Break => {
+            StmtView::Pass => {}
+            StmtView::Break => {
                 // `Flow::Break` outside a loop propagates to the function
                 // boundary, which returns `None`.
                 match self.loops.last_mut() {
@@ -1373,7 +1566,7 @@ impl<'a> FnCompiler<'a> {
                     }
                 }
             }
-            StmtKind::Continue => match self.loops.last() {
+            StmtView::Continue => match self.loops.last() {
                 Some(ctx) => {
                     let target = ctx.continue_target;
                     self.emit(Instr::Jump(target));
@@ -1412,39 +1605,24 @@ impl<'a> FnCompiler<'a> {
 
     /// Writes the mutated container on top of the stack back to `base`'s
     /// own location (`expr_as_target` semantics: variables and index
-    /// chains are assignable, anything else silently drops the value).
-    fn assign_base(&mut self, base: &Expr) {
-        match base {
-            Expr::Var(name) => {
+    /// chains are assignable, anything else silently drops the value).  A
+    /// choice site dispatches into each option's own write-back, the
+    /// location of `expr_as_target(concretize(base))`.
+    fn assign_base<E: ExprNode>(&mut self, base: &E) {
+        match base.view() {
+            ExprView::Plain(e) => self.assign_base(e),
+            ExprView::Var(name) => {
                 let slot = self.slot(name);
                 self.emit(Instr::StoreSlot(slot));
             }
-            Expr::Index(inner, index) => {
+            ExprView::Index(inner, index) => {
                 self.expr(index);
                 self.expr(inner);
                 self.emit(Instr::StoreIndex);
                 self.assign_base(inner)
             }
-            _ => {
-                self.emit(Instr::Pop);
-            }
-        }
-    }
-
-    /// Choice-bearing counterpart of [`FnCompiler::assign_base`]: the
-    /// write-back to `expr_as_target(concretize(base))`, with choice sites
-    /// dispatching into each option's own write-back.
-    fn cassign_base(&mut self, base: &CExpr) {
-        match base {
-            CExpr::Plain(e) => self.assign_base(e),
-            CExpr::Index(inner, index) => {
-                self.cexpr(index);
-                self.cexpr(inner);
-                self.emit(Instr::StoreIndex);
-                self.cassign_base(inner);
-            }
-            CExpr::Choice(id, options) => {
-                self.choice_dispatch(*id, options.len(), |c, i| c.cassign_base(&options[i]));
+            ExprView::Choice(id, options) => {
+                self.choice_dispatch(id, options.len(), |c, i| c.assign_base(&options[i]));
             }
             _ => {
                 self.emit(Instr::Pop);
@@ -1476,109 +1654,90 @@ impl<'a> FnCompiler<'a> {
 
     /// `true` when evaluating the expression may write a local slot.
     /// Method calls are the only expression form with a slot write-back
-    /// (user-function calls run in their own frame), so this is the guard
-    /// for slot-direct specialisations: a `CheckSlot`ed slot must stay
-    /// set — and un-swapped — until the specialised read.
-    fn mutates_slots(expr: &Expr) -> bool {
-        match expr {
-            Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) | Expr::None | Expr::Var(_) => false,
-            Expr::List(items) | Expr::Tuple(items) => items.iter().any(Self::mutates_slots),
-            Expr::Dict(items) => items
+    /// (user-function calls run in their own frame, and choice dispatch
+    /// writes nothing), so this is the guard for slot-direct
+    /// specialisations: a `CheckSlot`ed slot must stay set — and
+    /// un-swapped — until the specialised read.
+    fn mutates_slots<E: ExprNode>(expr: &E) -> bool {
+        match expr.view() {
+            ExprView::Int(_)
+            | ExprView::Bool(_)
+            | ExprView::Str(_)
+            | ExprView::None
+            | ExprView::Var(_) => false,
+            ExprView::Plain(e) => Self::mutates_slots(e),
+            ExprView::Choice(_, items) | ExprView::List(items) | ExprView::Tuple(items) => {
+                items.iter().any(Self::mutates_slots)
+            }
+            ExprView::Dict(items) => items
                 .iter()
                 .any(|(k, v)| Self::mutates_slots(k) || Self::mutates_slots(v)),
-            Expr::Index(base, index) => Self::mutates_slots(base) || Self::mutates_slots(index),
-            Expr::Slice(base, lower, upper) => {
+            ExprView::Index(base, index) => Self::mutates_slots(base) || Self::mutates_slots(index),
+            ExprView::Slice(base, lower, upper) => {
                 Self::mutates_slots(base)
-                    || lower.as_deref().is_some_and(Self::mutates_slots)
-                    || upper.as_deref().is_some_and(Self::mutates_slots)
+                    || lower.is_some_and(Self::mutates_slots)
+                    || upper.is_some_and(Self::mutates_slots)
             }
-            Expr::BinOp(_, l, r) | Expr::Compare(_, l, r) | Expr::BoolExpr(_, l, r) => {
+            ExprView::BinOp(_, l, r) | ExprView::Compare(_, l, r) | ExprView::BoolExpr(_, l, r) => {
                 Self::mutates_slots(l) || Self::mutates_slots(r)
             }
-            Expr::UnaryOp(_, e) => Self::mutates_slots(e),
-            Expr::Call(_, args) => args.iter().any(Self::mutates_slots),
-            Expr::MethodCall(..) => true,
-            Expr::IfExpr(a, b, c) => {
+            ExprView::UnaryOp(_, e) => Self::mutates_slots(e),
+            ExprView::Call(_, args) => args.iter().any(Self::mutates_slots),
+            ExprView::MethodCall(..) => true,
+            ExprView::IfExpr(a, b, c) => {
                 Self::mutates_slots(a) || Self::mutates_slots(b) || Self::mutates_slots(c)
             }
         }
     }
 
-    /// Choice-bearing counterpart of [`FnCompiler::mutates_slots`].
-    fn cmutates_slots(expr: &CExpr) -> bool {
-        match expr {
-            CExpr::Plain(e) => Self::mutates_slots(e),
-            CExpr::Choice(_, options) | CExpr::List(options) | CExpr::Tuple(options) => {
-                options.iter().any(Self::cmutates_slots)
+    fn expr<E: ExprNode>(&mut self, expr: &E) {
+        let view = expr.view();
+        match view {
+            // A choice-free subtree charges through the MPY lowering; a
+            // choice node has no concrete counterpart and charges nothing.
+            ExprView::Plain(e) => return self.expr(e),
+            ExprView::Choice(id, options) => {
+                return self.choice_dispatch(id, options.len(), |c, i| c.expr(&options[i]));
             }
-            CExpr::Index(base, index) => Self::cmutates_slots(base) || Self::cmutates_slots(index),
-            CExpr::Slice(base, lower, upper) => {
-                Self::cmutates_slots(base)
-                    || lower.as_deref().is_some_and(Self::cmutates_slots)
-                    || upper.as_deref().is_some_and(Self::cmutates_slots)
-            }
-            CExpr::BinOp(_, l, r) | CExpr::Compare(_, l, r) => {
-                Self::cmutates_slots(l) || Self::cmutates_slots(r)
-            }
-            CExpr::BoolExpr(_, l, r) => Self::cmutates_slots(l) || Self::cmutates_slots(r),
-            CExpr::UnaryOp(_, e) => Self::cmutates_slots(e),
-            CExpr::Call(_, args) => args.iter().any(Self::cmutates_slots),
-            CExpr::MethodCall(..) => true,
-            CExpr::IfExpr(a, b, c) => {
-                Self::cmutates_slots(a) || Self::cmutates_slots(b) || Self::cmutates_slots(c)
-            }
+            _ => {}
         }
-    }
-
-    fn expr(&mut self, expr: &Expr) {
         self.emit(Instr::Charge);
-        match expr {
-            Expr::Int(v) => {
-                let c = self.pools.const_idx(Value::Int(*v));
-                self.emit(Instr::Const(c));
-            }
-            Expr::Bool(b) => {
-                let c = self.pools.const_idx(Value::Bool(*b));
-                self.emit(Instr::Const(c));
-            }
-            Expr::Str(s) => {
-                let c = self.pools.const_idx(Value::Str(s.clone()));
-                self.emit(Instr::Const(c));
-            }
-            Expr::None => {
-                let c = self.pools.const_idx(Value::None);
-                self.emit(Instr::Const(c));
-            }
-            Expr::Var(name) => {
+        match view {
+            ExprView::Plain(_) | ExprView::Choice(..) => unreachable!("handled before charging"),
+            ExprView::Int(v) => self.constant(Value::Int(v)),
+            ExprView::Bool(b) => self.constant(Value::Bool(b)),
+            ExprView::Str(s) => self.constant(Value::Str(s.to_string())),
+            ExprView::None => self.constant(Value::None),
+            ExprView::Var(name) => {
                 let slot = self.slot(name);
                 self.emit(Instr::LoadSlot(slot));
             }
-            Expr::List(items) => {
+            ExprView::List(items) => {
                 for item in items {
                     self.expr(item);
                 }
                 self.emit(Instr::MakeList(items.len() as u32));
             }
-            Expr::Tuple(items) => {
+            ExprView::Tuple(items) => {
                 for item in items {
                     self.expr(item);
                 }
                 self.emit(Instr::MakeTuple(items.len() as u32));
             }
-            Expr::Dict(items) => {
+            ExprView::Dict(items) => {
                 for (k, v) in items {
                     self.expr(k);
                     self.expr(v);
                 }
                 self.emit(Instr::MakeDict(items.len() as u32));
             }
-            Expr::Index(base, index) => {
+            ExprView::Index(base, index) => {
                 // `v[i]` with a mutation-free index reads the element
                 // straight out of the slot instead of cloning the whole
                 // container.  `CheckSlot` fires the base's `NameError`
                 // before the index runs, matching tree-walker order; the
                 // charges (entry + base var) fuse.
-                if let Expr::Var(name) = &**base {
+                if let Some(name) = base.as_var() {
                     if !Self::mutates_slots(index) {
                         let slot = self.slot(name);
                         self.emit(Instr::Charge);
@@ -1592,7 +1751,7 @@ impl<'a> FnCompiler<'a> {
                 self.expr(index);
                 self.emit(Instr::LoadIndex);
             }
-            Expr::Slice(base, lower, upper) => {
+            ExprView::Slice(base, lower, upper) => {
                 self.expr(base);
                 if let Some(e) = lower {
                     self.expr(e);
@@ -1605,32 +1764,55 @@ impl<'a> FnCompiler<'a> {
                     has_upper: upper.is_some(),
                 });
             }
-            Expr::BinOp(op, left, right) => {
+            ExprView::BinOp(op, left, right) => {
                 self.expr(left);
                 self.expr(right);
-                self.emit(Instr::BinaryOp(*op));
+                let instr = match op {
+                    Op::Fixed(op) => Instr::BinaryOp(op),
+                    Op::Choice(id, ops) => {
+                        let site = self.pools.site(id);
+                        let table = self.bin_tables.len() as u32;
+                        self.bin_tables.push(ops.to_vec());
+                        Instr::BinaryOpChoice { site, table }
+                    }
+                };
+                self.emit(instr);
             }
-            Expr::UnaryOp(op, operand) => {
+            ExprView::UnaryOp(op, operand) => {
                 self.expr(operand);
-                self.emit(Instr::UnaryOpI(*op));
+                self.emit(Instr::UnaryOpI(op));
             }
-            Expr::Compare(op, left, right) => {
+            ExprView::Compare(op, left, right) => {
                 // A variable on the right is compared straight out of its
                 // slot — the slot read sits exactly where the tree walker
                 // evaluates the right operand, so error order and any
                 // left-side mutation are observed identically.
-                if let Expr::Var(name) = &**right {
+                if let Some(name) = right.as_var() {
                     let slot = self.slot(name);
                     self.expr(left);
                     self.emit(Instr::Charge);
-                    self.emit(Instr::CompareSlot { op: *op, slot });
+                    let instr = match op {
+                        Op::Fixed(op) => Instr::CompareSlot { op, slot },
+                        Op::Choice(id, ops) => {
+                            let (site, table) = self.cmp_table(id, ops);
+                            Instr::CompareChoiceSlot { site, table, slot }
+                        }
+                    };
+                    self.emit(instr);
                     return;
                 }
                 self.expr(left);
                 self.expr(right);
-                self.emit(Instr::CompareOpI(*op));
+                let instr = match op {
+                    Op::Fixed(op) => Instr::CompareOpI(op),
+                    Op::Choice(id, ops) => {
+                        let (site, table) = self.cmp_table(id, ops);
+                        Instr::CompareOpChoice { site, table }
+                    }
+                };
+                self.emit(instr);
             }
-            Expr::BoolExpr(op, left, right) => {
+            ExprView::BoolExpr(op, left, right) => {
                 self.expr(left);
                 let j = match op {
                     BoolOp::And => self.emit(Instr::JumpIfFalsePeek(0)),
@@ -1639,14 +1821,14 @@ impl<'a> FnCompiler<'a> {
                 self.expr(right);
                 self.patch(j);
             }
-            Expr::Call(name, args) => {
+            ExprView::Call(name, args) => {
                 // `len(v)` on a variable measures the slot in place —
                 // only when `len` really is the builtin.  One fused
                 // charge pair (call + argument), same as the generic
                 // path; `LenSlot` raises the variable's `NameError`
                 // before the builtin's `TypeError`, like the walker.
-                if name == "len" {
-                    if let [Expr::Var(var)] = args.as_slice() {
+                if let ("len", [arg]) = (name, args) {
+                    if let Some(var) = arg.as_var() {
                         if matches!(self.resolver.resolve(name), Callee::Builtin) {
                             let slot = self.slot(var);
                             self.emit(Instr::Charge);
@@ -1660,11 +1842,11 @@ impl<'a> FnCompiler<'a> {
                 }
                 self.call_named(name, args.len());
             }
-            Expr::MethodCall(recv, method, args) => {
+            ExprView::MethodCall(recv, method, args) => {
                 // `v.m(...)` runs on the slot in place when no argument
                 // can swap the slot out from under it; `CheckSlot` keeps
                 // the receiver's `NameError` ahead of argument errors.
-                if let Expr::Var(name) = &**recv {
+                if let Some(name) = recv.as_var() {
                     if !args.iter().any(Self::mutates_slots) {
                         let slot = self.slot(name);
                         self.emit(Instr::Charge);
@@ -1687,7 +1869,7 @@ impl<'a> FnCompiler<'a> {
                 }
                 self.call_method(method, args.len(), |c| c.assign_base(recv));
             }
-            Expr::IfExpr(body, cond, orelse) => {
+            ExprView::IfExpr(body, cond, orelse) => {
                 self.expr(cond);
                 let jf = self.emit(Instr::JumpIfFalsePop(0));
                 self.expr(body);
@@ -1697,6 +1879,19 @@ impl<'a> FnCompiler<'a> {
                 self.patch(jend);
             }
         }
+    }
+
+    fn constant(&mut self, value: Value) {
+        let c = self.pools.const_idx(value);
+        self.emit(Instr::Const(c));
+    }
+
+    /// Interns the operator table of comparison choice site `id`.
+    fn cmp_table(&mut self, id: ChoiceId, ops: &[CmpOp]) -> (u32, u32) {
+        let site = self.pools.site(id);
+        let table = self.cmp_tables.len() as u32;
+        self.cmp_tables.push(ops.to_vec());
+        (site, table)
     }
 
     /// Emits a `CallMethod` over the receiver and arguments already on the
@@ -1720,42 +1915,26 @@ impl<'a> FnCompiler<'a> {
     /// the benchmarks — gets the lazy `RangePrep` when `range` really is
     /// the builtin (a user function of that name shadows it); fuel parity
     /// holds because the call expression charges exactly as before and
-    /// neither `CallBuiltin` nor `IterPrep` ever charged.
-    fn iter_prep(&mut self, iter: &Expr) {
-        if let Expr::Call(name, args) = iter {
-            if name == "range" && matches!(self.resolver.resolve(name), Callee::Builtin) {
+    /// neither `CallBuiltin` nor `IterPrep` ever charged.  A choice over
+    /// iterables dispatches into per-option preps, so a `range` under an
+    /// error-model choice site still gets the lazy form.
+    fn iter_prep<E: ExprNode>(&mut self, iter: &E) {
+        match iter.view() {
+            ExprView::Plain(e) => self.iter_prep(e),
+            ExprView::Choice(id, options) => {
+                self.choice_dispatch(id, options.len(), |c, i| c.iter_prep(&options[i]))
+            }
+            ExprView::Call(name, args)
+                if name == "range" && matches!(self.resolver.resolve(name), Callee::Builtin) =>
+            {
                 self.emit(Instr::Charge);
                 for arg in args {
                     self.expr(arg);
                 }
                 self.emit(Instr::RangePrep(args.len() as u32));
-                return;
             }
-        }
-        self.expr(iter);
-        self.emit(Instr::IterPrep);
-    }
-
-    /// Choice-program counterpart of [`FnCompiler::iter_prep`].  A choice
-    /// over iterables dispatches into per-option preps, so a `range` under
-    /// an error-model choice site still gets the lazy form.
-    fn citer_prep(&mut self, iter: &CExpr) {
-        match iter {
-            CExpr::Plain(e) => self.iter_prep(e),
-            CExpr::Choice(id, options) => {
-                self.choice_dispatch(*id, options.len(), |c, i| c.citer_prep(&options[i]))
-            }
-            CExpr::Call(name, args)
-                if name == "range" && matches!(self.resolver.resolve(name), Callee::Builtin) =>
-            {
-                self.emit(Instr::Charge);
-                for arg in args {
-                    self.cexpr(arg);
-                }
-                self.emit(Instr::RangePrep(args.len() as u32));
-            }
-            other => {
-                self.cexpr(other);
+            _ => {
+                self.expr(iter);
                 self.emit(Instr::IterPrep);
             }
         }
@@ -1795,122 +1974,6 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    // -- choice-bearing M̃PY -----------------------------------------------
-
-    fn cblock(&mut self, stmts: &[CStmt]) {
-        for stmt in stmts {
-            self.cstmt(stmt);
-        }
-    }
-
-    fn cstmt(&mut self, stmt: &CStmt) {
-        // Statement-level choices splice the selected block without
-        // charging, exactly like `exec_cstmt`.
-        if let CStmtKind::ChoiceBlock(id, options) = &stmt.kind {
-            return self.choice_dispatch(*id, options.len(), |c, i| c.cblock(&options[i]));
-        }
-        self.emit(Instr::Charge);
-        match &stmt.kind {
-            CStmtKind::Assign(target, value) => {
-                self.cexpr(value);
-                self.assign_target(target)
-            }
-            CStmtKind::AugAssign(target, op, value) => {
-                self.cexpr(value);
-                self.read_target(target);
-                self.emit(Instr::BinaryOpAug(*op));
-                self.assign_target(target)
-            }
-            CStmtKind::ExprStmt(expr) => {
-                self.cexpr(expr);
-                self.emit(Instr::Pop);
-            }
-            CStmtKind::If(cond, then_body, else_body) => {
-                self.cexpr(cond);
-                let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.cblock(then_body);
-                let jend = self.emit(Instr::Jump(0));
-                self.patch(jf);
-                self.cblock(else_body);
-                self.patch(jend);
-            }
-            CStmtKind::While(cond, body) => {
-                let l_cond = self.here();
-                self.cexpr(cond);
-                let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.emit(Instr::Charge);
-                self.loops.push(LoopCtx {
-                    continue_target: l_cond,
-                    break_patches: Vec::new(),
-                });
-                self.cblock(body);
-                self.emit(Instr::Jump(l_cond));
-                let ctx = self.loops.pop().expect("loop ctx");
-                self.patch(jf);
-                for b in ctx.break_patches {
-                    self.patch(b);
-                }
-            }
-            CStmtKind::For(var, iter, body) => {
-                self.citer_prep(iter);
-                let slot = self.slot(var);
-                let l_next = self.here();
-                let fornext = self.emit(Instr::ForNext { slot, end: 0 });
-                self.loops.push(LoopCtx {
-                    continue_target: l_next,
-                    break_patches: Vec::new(),
-                });
-                self.cblock(body);
-                self.emit(Instr::Jump(l_next));
-                let ctx = self.loops.pop().expect("loop ctx");
-                self.patch(fornext);
-                for b in ctx.break_patches {
-                    self.patch(b);
-                }
-                self.emit(Instr::PopIter);
-            }
-            CStmtKind::Return(expr) => match expr {
-                Some(e) => {
-                    self.cexpr(e);
-                    self.emit(Instr::ReturnV);
-                }
-                None => {
-                    self.emit(Instr::ReturnNone);
-                }
-            },
-            CStmtKind::Print(args) => {
-                for arg in args {
-                    self.cexpr(arg);
-                }
-                self.emit(Instr::PrintStmt(args.len() as u32));
-            }
-            CStmtKind::Pass => {}
-            CStmtKind::Break => match self.loops.last_mut() {
-                Some(_) => {
-                    let j = self.emit(Instr::Jump(0));
-                    self.loops
-                        .last_mut()
-                        .expect("loop ctx")
-                        .break_patches
-                        .push(j);
-                }
-                None => {
-                    self.emit(Instr::ReturnNone);
-                }
-            },
-            CStmtKind::Continue => match self.loops.last() {
-                Some(ctx) => {
-                    let target = ctx.continue_target;
-                    self.emit(Instr::Jump(target));
-                }
-                None => {
-                    self.emit(Instr::ReturnNone);
-                }
-            },
-            CStmtKind::ChoiceBlock(..) => unreachable!("handled before charging"),
-        }
-    }
-
     /// Emits a `ChoiceJump` dispatch over `count` alternatives, each
     /// compiled by `body`, all joining at the end.  Charges nothing — the
     /// choice node has no concrete counterpart.
@@ -1936,172 +1999,6 @@ impl<'a> FnCompiler<'a> {
         self.jump_tables.push(targets);
         if let Instr::ChoiceJump { table: t, .. } = &mut self.code[dispatch] {
             *t = table;
-        }
-    }
-
-    fn cexpr(&mut self, expr: &CExpr) {
-        match expr {
-            CExpr::Plain(e) => return self.expr(e),
-            CExpr::Choice(id, options) => {
-                return self.choice_dispatch(*id, options.len(), |c, i| c.cexpr(&options[i]));
-            }
-            _ => {}
-        }
-        self.emit(Instr::Charge);
-        match expr {
-            CExpr::Plain(_) | CExpr::Choice(..) => unreachable!("handled before charging"),
-            CExpr::List(items) => {
-                for item in items {
-                    self.cexpr(item);
-                }
-                self.emit(Instr::MakeList(items.len() as u32));
-            }
-            CExpr::Tuple(items) => {
-                for item in items {
-                    self.cexpr(item);
-                }
-                self.emit(Instr::MakeTuple(items.len() as u32));
-            }
-            CExpr::Index(base, index) => {
-                // Same slot-direct read as the plain compiler; a choice
-                // site anywhere in the index is fine (dispatch never
-                // writes slots), a method call is not.
-                if let CExpr::Plain(Expr::Var(name)) = &**base {
-                    if !Self::cmutates_slots(index) {
-                        let slot = self.slot(name);
-                        self.emit(Instr::Charge);
-                        self.emit(Instr::CheckSlot(slot));
-                        self.cexpr(index);
-                        self.emit(Instr::LoadIndexSlot(slot));
-                        return;
-                    }
-                }
-                self.cexpr(base);
-                self.cexpr(index);
-                self.emit(Instr::LoadIndex);
-            }
-            CExpr::Slice(base, lower, upper) => {
-                self.cexpr(base);
-                if let Some(e) = lower {
-                    self.cexpr(e);
-                }
-                if let Some(e) = upper {
-                    self.cexpr(e);
-                }
-                self.emit(Instr::Slice {
-                    has_lower: lower.is_some(),
-                    has_upper: upper.is_some(),
-                });
-            }
-            CExpr::BinOp(op, left, right) => {
-                self.cexpr(left);
-                self.cexpr(right);
-                match op {
-                    OpChoice::Fixed(op) => {
-                        self.emit(Instr::BinaryOp(*op));
-                    }
-                    OpChoice::Choice(id, ops) => {
-                        let site = self.pools.site(*id);
-                        let table = self.bin_tables.len() as u32;
-                        self.bin_tables.push(ops.clone());
-                        self.emit(Instr::BinaryOpChoice { site, table });
-                    }
-                }
-            }
-            CExpr::UnaryOp(op, operand) => {
-                self.cexpr(operand);
-                self.emit(Instr::UnaryOpI(*op));
-            }
-            CExpr::Compare(op, left, right) => {
-                if let CExpr::Plain(Expr::Var(name)) = &**right {
-                    let slot = self.slot(name);
-                    self.cexpr(left);
-                    self.emit(Instr::Charge);
-                    match op {
-                        OpChoice::Fixed(op) => {
-                            self.emit(Instr::CompareSlot { op: *op, slot });
-                        }
-                        OpChoice::Choice(id, ops) => {
-                            let site = self.pools.site(*id);
-                            let table = self.cmp_tables.len() as u32;
-                            self.cmp_tables.push(ops.clone());
-                            self.emit(Instr::CompareChoiceSlot { site, table, slot });
-                        }
-                    }
-                    return;
-                }
-                self.cexpr(left);
-                self.cexpr(right);
-                match op {
-                    OpChoice::Fixed(op) => {
-                        self.emit(Instr::CompareOpI(*op));
-                    }
-                    OpChoice::Choice(id, ops) => {
-                        let site = self.pools.site(*id);
-                        let table = self.cmp_tables.len() as u32;
-                        self.cmp_tables.push(ops.clone());
-                        self.emit(Instr::CompareOpChoice { site, table });
-                    }
-                }
-            }
-            CExpr::BoolExpr(op, left, right) => {
-                self.cexpr(left);
-                let j = match op {
-                    BoolOp::And => self.emit(Instr::JumpIfFalsePeek(0)),
-                    BoolOp::Or => self.emit(Instr::JumpIfTruePeek(0)),
-                };
-                self.cexpr(right);
-                self.patch(j);
-            }
-            CExpr::Call(name, args) => {
-                if name == "len" {
-                    if let [CExpr::Plain(Expr::Var(var))] = args.as_slice() {
-                        if matches!(self.resolver.resolve(name), Callee::Builtin) {
-                            let slot = self.slot(var);
-                            self.emit(Instr::Charge);
-                            self.emit(Instr::LenSlot(slot));
-                            return;
-                        }
-                    }
-                }
-                for arg in args {
-                    self.cexpr(arg);
-                }
-                self.call_named(name, args.len());
-            }
-            CExpr::MethodCall(recv, method, args) => {
-                if let CExpr::Plain(Expr::Var(name)) = &**recv {
-                    if !args.iter().any(Self::cmutates_slots) {
-                        let slot = self.slot(name);
-                        self.emit(Instr::Charge);
-                        self.emit(Instr::CheckSlot(slot));
-                        for arg in args {
-                            self.cexpr(arg);
-                        }
-                        let name = self.pools.name_idx(method);
-                        self.emit(Instr::CallMethodSlot {
-                            name,
-                            argc: args.len() as u32,
-                            slot,
-                        });
-                        return;
-                    }
-                }
-                self.cexpr(recv);
-                for arg in args {
-                    self.cexpr(arg);
-                }
-                self.call_method(method, args.len(), |c| c.cassign_base(recv));
-            }
-            CExpr::IfExpr(body, cond, orelse) => {
-                self.cexpr(cond);
-                let jf = self.emit(Instr::JumpIfFalsePop(0));
-                self.cexpr(body);
-                let jend = self.emit(Instr::Jump(0));
-                self.patch(jf);
-                self.cexpr(orelse);
-                self.patch(jend);
-            }
         }
     }
 }

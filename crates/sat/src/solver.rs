@@ -10,13 +10,6 @@
 //! learnt clause remains a consequence of the clause database alone and
 //! stays valid across `solve` calls).
 //!
-//! The solver also has geometric restarts (every 100 conflicts, growing by
-//! half each time), but their counter is per call: each
-//! `solve_under_assumptions` starts it afresh.  CEGIS calls average under
-//! one conflict each and never reach the first limit, so restarts do not
-//! act while grading: the pinned `table1` run reports `restarts` 0 in every
-//! row and in its solver totals.
-//!
 //! The kernel does not allocate on its hot paths.  Every clause, original or
 //! learnt, lives in one flat literal arena and is named by a `u32` clause
 //! reference; reasons hold those references.  Propagation hands each
@@ -77,8 +70,6 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Conflicts analysed.
     pub conflicts: u64,
-    /// Restarts performed.
-    pub restarts: u64,
     /// Clauses learnt (and kept — the solver never forgets).
     pub learnts: u64,
 }
@@ -289,14 +280,12 @@ pub struct Solver {
     seen: Vec<u8>,
     /// The clause conflict analysis learns; slot 0 holds the UIP.
     learnt: Vec<Lit>,
-    /// Number of conflicts seen (drives restarts).
+    /// Statistics: number of conflicts analysed.
     conflicts: u64,
     /// Statistics: number of decisions.
     decisions: u64,
     /// Statistics: number of propagations.
     propagations: u64,
-    /// Statistics: number of restarts.
-    restarts: u64,
     /// Statistics: number of learnt clauses retained.
     learnts: u64,
 }
@@ -332,7 +321,6 @@ impl Solver {
             conflicts: 0,
             decisions: 0,
             propagations: 0,
-            restarts: 0,
             learnts: 0,
         }
     }
@@ -353,7 +341,6 @@ impl Solver {
             decisions: self.decisions,
             propagations: self.propagations,
             conflicts: self.conflicts,
-            restarts: self.restarts,
             learnts: self.learnts,
         }
     }
@@ -843,13 +830,9 @@ impl Solver {
             return SatResult::Unsat;
         }
 
-        let mut conflicts_since_restart = 0u64;
-        let mut restart_limit = 100u64;
-
         loop {
             if let Some(conflict) = self.propagate() {
                 self.conflicts += 1;
-                conflicts_since_restart += 1;
                 if self.trail_lim.is_empty() {
                     self.ok = false;
                     return SatResult::Unsat;
@@ -875,15 +858,7 @@ impl Solver {
                     self.enqueue(asserting, cref);
                 }
             } else {
-                if conflicts_since_restart >= restart_limit {
-                    conflicts_since_restart = 0;
-                    restart_limit = restart_limit.saturating_mul(3) / 2;
-                    self.restarts += 1;
-                    // Assumptions are re-applied below, one per iteration.
-                    self.cancel_until(0);
-                    continue;
-                }
-                // Apply (or re-apply, after a restart or deep backjump) the
+                // Apply (or re-apply, after a deep backjump) the
                 // next pending assumption as a pseudo-decision.
                 if self.trail_lim.len() < assumptions.len() {
                     let lit = assumptions[self.trail_lim.len()];

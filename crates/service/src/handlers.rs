@@ -71,7 +71,7 @@ struct Registration<'a> {
     entry: Option<&'a str>,
     reference: Option<&'a str>,
     model: Option<&'a str>,
-    backend: Option<&'a str>,
+    backend: Option<afg_core::Backend>,
     cache: Option<bool>,
     clustering: Option<bool>,
     /// [`GraderConfig::fast`]'s search budget with the body's
@@ -108,7 +108,13 @@ impl<'a> Registration<'a> {
                 "entry" => registration.entry = Some(string()?),
                 "reference" => registration.reference = Some(string()?),
                 "model" => registration.model = Some(string()?),
-                "backend" => registration.backend = Some(string()?),
+                "backend" => {
+                    let name = string()?;
+                    let backend = afg_core::Backend::parse(name).ok_or_else(|| {
+                        format!("unknown backend '{name}' (expected cegis or enum)")
+                    })?;
+                    registration.backend = Some(backend);
+                }
                 "cache" => registration.cache = Some(boolean()?),
                 "clustering" => registration.clustering = Some(boolean()?),
                 "max_cost" => registration.synthesis.max_cost = count()?,
@@ -194,8 +200,8 @@ impl<'a> BatchBody<'a> {
 /// overrides, non-negative) and
 /// `"backend": "cegis" | "enum"` (search engine).  Every
 /// grade of the problem is one search under that budget and backend.  A
-/// body with any other key, or a known key of the wrong JSON type, is
-/// answered `400` naming the field.
+/// body with any other key, a known key of the wrong JSON type, or an
+/// unknown backend name is answered `400` naming the field.
 pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, Json) {
     let body = match parse_body(request) {
         Ok(body) => body,
@@ -210,18 +216,8 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
         synthesis: registration.synthesis,
         ..GraderConfig::fast()
     };
-    if let Some(backend_name) = registration.backend {
-        match afg_core::Backend::parse(backend_name) {
-            Some(backend) => config.backend = backend,
-            None => {
-                return (
-                    422,
-                    error_json(&format!(
-                        "unknown backend '{backend_name}' (expected cegis or enum)"
-                    )),
-                );
-            }
-        }
+    if let Some(backend) = registration.backend {
+        config.backend = backend;
     }
     let use_cache = registration.cache.unwrap_or(true);
     // Cluster transfer rides on the cache-miss path, so it is only

@@ -26,7 +26,7 @@ pub struct ProblemEntry {
 
 /// Lock-free outcome counters (one instance per problem).  Alongside the
 /// verdict buckets, solver-work totals (SAT conflicts, propagations, learnt
-/// clauses, restarts) are accumulated from every `Feedback` outcome so
+/// clauses) are accumulated from every `Feedback` outcome so
 /// `/stats` consumers can track search effort per grade over time.
 #[derive(Debug, Default)]
 pub struct OutcomeCounters {
@@ -39,7 +39,6 @@ pub struct OutcomeCounters {
     sat_conflicts: AtomicU64,
     sat_propagations: AtomicU64,
     sat_learnts: AtomicU64,
-    restarts: AtomicU64,
     sweeps: AtomicU64,
     sweep_inputs: AtomicU64,
     sweep_cache_hits: AtomicU64,
@@ -71,8 +70,6 @@ impl OutcomeCounters {
                 .fetch_add(feedback.stats.sat_propagations, Ordering::Relaxed);
             self.sat_learnts
                 .fetch_add(feedback.stats.sat_learnts, Ordering::Relaxed);
-            self.restarts
-                .fetch_add(feedback.stats.restarts, Ordering::Relaxed);
             self.sweeps
                 .fetch_add(feedback.stats.sweeps, Ordering::Relaxed);
             self.sweep_inputs
@@ -115,7 +112,6 @@ impl OutcomeCounters {
                 "sat_learnts",
                 self.sat_learnts.load(Ordering::Relaxed).to_json(),
             ),
-            ("restarts", self.restarts.load(Ordering::Relaxed).to_json()),
         ])
     }
 

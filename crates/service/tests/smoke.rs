@@ -257,7 +257,8 @@ fn registers_with_enum_backend() {
         .and_then(Json::as_i64)
         .is_some());
 
-    // Unknown backends are rejected with a helpful message.
+    // Unknown backends are rejected with a helpful message, as a bad field
+    // of the registration body.
     for name in ["sketch", "portfolio"] {
         let (status, body) = client
             .post(
@@ -268,7 +269,7 @@ fn registers_with_enum_backend() {
                 ]),
             )
             .unwrap();
-        assert_eq!(status, 422, "{name}");
+        assert_eq!(status, 400, "{name}");
         let error = body.get("error").and_then(Json::as_str).unwrap();
         assert!(error.contains("unknown backend"), "{error}");
         assert!(error.contains("expected cegis or enum"), "{error}");

@@ -54,8 +54,6 @@ pub struct SynthesisStats {
     pub sat_propagations: u64,
     /// SAT clauses learnt and retained.
     pub sat_learnts: u64,
-    /// SAT restarts performed.
-    pub restarts: u64,
     /// Verification sweeps answered by the equivalence session
     /// (`find_counterexample` calls, including the already-correct check).
     pub sweeps: u64,
@@ -82,9 +80,6 @@ pub struct SynthesisStats {
     /// Whether the tried hypothesis verified, letting the minimisation
     /// descent start at its cost instead of the top of the cost scale.
     pub warm_start_verified: bool,
-    /// Learnt-clause count sampled at each CEGISMIN bound tightening —
-    /// monotone when (and only when) the whole descent runs on one solver.
-    pub descent_learnts: Vec<u64>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// The share of `elapsed` spent inside SAT `solve` calls (zero for
