@@ -5,6 +5,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use afg_ast::canon::fnv1a64;
@@ -109,18 +110,29 @@ impl GradeOutcome {
     }
 }
 
+/// Most selectors (non-default options, summed over choice sites) a
+/// submission's choice program may have.  The choice encoding grows
+/// quadratically in the selector count and is built before the search
+/// looks at its budget, so a longer program answers
+/// [`GradeOutcome::Timeout`] at once instead.  The corpus maximum is 143.
+const MAX_SELECTORS: usize = 1_024;
+
 /// The automated feedback generator for one assignment.
 ///
 /// Holds the instructor's inputs — the reference implementation, the graded
-/// function's name and the error model — plus the cached equivalence oracle,
-/// and grades any number of student submissions against them.
+/// function's name and the error model — plus the equivalence oracle, and
+/// grades any number of student submissions against them.  The oracle (every
+/// bounded input and the reference's result on it) depends only on the
+/// reference, the entry name and the [`EquivalenceConfig`], so graders built
+/// by [`Autograder::sharing`] hold one copy between them; the model, budget
+/// and backend stay each grader's own.
 #[derive(Debug, Clone)]
 pub struct Autograder {
     reference: Program,
     entry: String,
     model: ErrorModel,
     config: GraderConfig,
-    oracle: EquivalenceOracle,
+    oracle: Arc<EquivalenceOracle>,
     /// Memoized [`Autograder::config_fingerprint`] (grading is hot; the
     /// configuration is fixed after construction modulo `set_model`).
     config_fingerprint: u64,
@@ -143,8 +155,14 @@ impl Autograder {
         model: ErrorModel,
         config: GraderConfig,
     ) -> Result<Autograder, GraderError> {
-        let reference = parse_program(reference_source).map_err(GraderError::ReferenceSyntax)?;
+        let reference = Autograder::parse_reference(reference_source)?;
         Autograder::from_program(reference, entry, model, config)
+    }
+
+    /// Parses a reference implementation, reporting a syntax error as
+    /// [`GraderError::ReferenceSyntax`].
+    pub fn parse_reference(reference_source: &str) -> Result<Program, GraderError> {
+        parse_program(reference_source).map_err(GraderError::ReferenceSyntax)
     }
 
     /// Builds a grader from an already-parsed reference implementation,
@@ -155,10 +173,36 @@ impl Autograder {
         model: ErrorModel,
         config: GraderConfig,
     ) -> Result<Autograder, GraderError> {
+        Autograder::sharing(reference, entry, model, config, [])
+    }
+
+    /// As [`Autograder::from_program`], but reuses the equivalence oracle of
+    /// the first grader in `live` whose reference program, entry name and
+    /// [`EquivalenceConfig`] equal this one's (exact `==`, so a shared
+    /// oracle is the one this grader would have built).  Without such a
+    /// grader it builds its own.  The oracle is freed with the last grader
+    /// holding it.
+    pub fn sharing<'a>(
+        reference: Program,
+        entry: &str,
+        model: ErrorModel,
+        config: GraderConfig,
+        live: impl IntoIterator<Item = &'a Autograder>,
+    ) -> Result<Autograder, GraderError> {
         validate_reference(&reference, entry)?;
-        let mut equivalence = config.equivalence.clone();
-        equivalence.entry = Some(entry.to_string());
-        let oracle = EquivalenceOracle::from_reference(&reference, equivalence);
+        let donor = live.into_iter().find(|grader| {
+            grader.entry == entry
+                && grader.config.equivalence == config.equivalence
+                && grader.reference == reference
+        });
+        let oracle = match donor {
+            Some(grader) => Arc::clone(&grader.oracle),
+            None => {
+                let mut equivalence = config.equivalence.clone();
+                equivalence.entry = Some(entry.to_string());
+                Arc::new(EquivalenceOracle::from_reference(&reference, equivalence))
+            }
+        };
         let config_fingerprint = fingerprint_configuration(&reference, entry, &config, &model);
         Ok(Autograder {
             reference,
@@ -262,6 +306,24 @@ impl Autograder {
             }
         };
         let signature = crate::cache::choice_signature(&choice_program);
+        let selectors: usize = choice_program
+            .choices
+            .iter()
+            .map(|site| site.options.len().saturating_sub(1))
+            .sum();
+        if selectors > MAX_SELECTORS {
+            afg_obs::counter!(
+                "afg_grade_oversized_total",
+                "Submissions answered timeout unsearched: too many selectors"
+            )
+            .inc();
+            // Like a candidate-budget timeout, a pure function of the
+            // submission and the configuration.
+            return TracedGrade {
+                guard: Some(signature),
+                ..TracedGrade::cacheable(GradeOutcome::Timeout)
+            };
+        }
         let backend = self.config.backend;
         let synthesis = &self.config.synthesis;
         // Whether the search tried / verified the transferred hypothesis,
@@ -652,6 +714,87 @@ def computeDeriv(poly_list_int):
         assert_eq!(feedback.cost, cegis.feedback().expect("feedback").cost);
         assert_eq!(feedback.cost, 1);
         assert_eq!(feedback.stats.strategy, "enum");
+    }
+
+    #[test]
+    fn graders_share_an_oracle_only_with_an_equal_reference_entry_and_space() {
+        // Two typed functions, so the same reference can have two entries.
+        let source = format!(
+            "{REFERENCE}def derivative(poly_list_int):\n    return computeDeriv(poly_list_int)\n"
+        );
+        let reference = Autograder::parse_reference(&source).unwrap();
+        let model = library::compute_deriv_model();
+        let cold = Autograder::from_program(
+            reference.clone(),
+            "computeDeriv",
+            model.clone(),
+            GraderConfig::fast(),
+        )
+        .unwrap();
+        let share = |entry: &str, config: GraderConfig| {
+            Autograder::sharing(
+                reference.clone(),
+                entry,
+                model.truncated(2),
+                config,
+                [&cold],
+            )
+        };
+
+        // A different model and budget still share: neither shapes the oracle.
+        let mut budget = GraderConfig::fast();
+        budget.synthesis.max_candidates = 100;
+        let sharer = share("computeDeriv", budget).unwrap();
+        assert!(Arc::ptr_eq(&sharer.oracle, &cold.oracle));
+        assert_ne!(sharer.config_fingerprint(), cold.config_fingerprint());
+
+        // A different entry or input space does not.
+        let other_entry = share("derivative", GraderConfig::fast()).unwrap();
+        assert!(!Arc::ptr_eq(&other_entry.oracle, &cold.oracle));
+        let mut space = GraderConfig::fast();
+        space.equivalence.space.max_seq_len -= 1;
+        let other_space = share("computeDeriv", space).unwrap();
+        assert!(!Arc::ptr_eq(&other_space.oracle, &cold.oracle));
+        assert_ne!(other_space.oracle().inputs(), cold.oracle().inputs());
+
+        // Validation still runs when a donor matches.
+        assert!(matches!(
+            share("missing", GraderConfig::fast()),
+            Err(GraderError::MissingEntry { .. })
+        ));
+    }
+
+    /// A `computeDeriv` submission whose 3-line loop is repeated `loops`
+    /// times: 8 choice sites per loop under the compDeriv model.
+    fn repeated_loops(loops: usize) -> String {
+        let body = "    for i in range(1, len(poly)):\n        if poly[i] != 0:\n            d.append(i * poly[i])\n";
+        format!(
+            "def computeDeriv(poly):\n    d = []\n{}    return d\n",
+            body.repeat(loops)
+        )
+    }
+
+    #[test]
+    fn oversized_choice_programs_time_out_without_an_encoding() {
+        let student = parse_program(&repeated_loops(200)).unwrap();
+        let model = library::compute_deriv_model();
+        let choice = apply_error_model(&student, Some("computeDeriv"), &model).unwrap();
+        assert_eq!(choice.num_choices(), 1_602);
+
+        let before = afg_synth::instrument::encodings_created();
+        for backend in Backend::ALL {
+            let config = GraderConfig {
+                backend,
+                ..GraderConfig::fast()
+            };
+            let grader = Autograder::new(REFERENCE, "computeDeriv", model.clone(), config).unwrap();
+            let traced = grader.grade_program_traced(&student);
+            assert_eq!(traced.outcome, GradeOutcome::Timeout, "{backend:?}");
+            // Cached like a candidate-budget timeout, guarded by structure.
+            assert!(traced.cacheable, "{backend:?}");
+            assert!(traced.guard.is_some(), "{backend:?}");
+        }
+        assert_eq!(afg_synth::instrument::encodings_created(), before);
     }
 
     #[test]

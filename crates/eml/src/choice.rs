@@ -34,8 +34,8 @@ pub enum CExpr {
     Index(Box<CExpr>, Box<CExpr>),
     /// Slicing with choice-bearing parts.
     Slice(Box<CExpr>, Option<Box<CExpr>>, Option<Box<CExpr>>),
-    /// Binary operation; the operator itself may be a choice.
-    BinOp(OpChoice<BinOp>, Box<CExpr>, Box<CExpr>),
+    /// Binary operation (no rule rewrites an arithmetic operator).
+    BinOp(BinOp, Box<CExpr>, Box<CExpr>),
     /// Unary operation.
     UnaryOp(UnaryOp, Box<CExpr>),
     /// Comparison; the operator itself may be a choice.
@@ -351,7 +351,7 @@ pub fn concretize_expr(expr: &CExpr, assignment: &ChoiceAssignment) -> Expr {
                 .map(|e| Box::new(concretize_expr(e, assignment))),
         ),
         CExpr::BinOp(op, left, right) => Expr::BinOp(
-            select_op(op, assignment),
+            *op,
             Box::new(concretize_expr(left, assignment)),
             Box::new(concretize_expr(right, assignment)),
         ),
@@ -433,13 +433,6 @@ impl CExpr {
                     u.collect_choice_ids(out);
                 }
             }
-            CExpr::BinOp(op, a, b) => {
-                if let OpChoice::Choice(id, _) = op {
-                    out.push(*id);
-                }
-                a.collect_choice_ids(out);
-                b.collect_choice_ids(out);
-            }
             CExpr::Compare(op, a, b) => {
                 if let OpChoice::Choice(id, _) = op {
                     out.push(*id);
@@ -448,7 +441,7 @@ impl CExpr {
                 b.collect_choice_ids(out);
             }
             CExpr::UnaryOp(_, a) => a.collect_choice_ids(out),
-            CExpr::BoolExpr(_, a, b) => {
+            CExpr::BinOp(_, a, b) | CExpr::BoolExpr(_, a, b) => {
                 a.collect_choice_ids(out);
                 b.collect_choice_ids(out);
             }
@@ -604,7 +597,7 @@ mod tests {
     #[test]
     fn collect_choice_ids_finds_nested_choices() {
         let nested = CExpr::BinOp(
-            OpChoice::Fixed(BinOp::Add),
+            BinOp::Add,
             Box::new(CExpr::Choice(ChoiceId(0), vec![CExpr::plain(Expr::Int(1))])),
             Box::new(CExpr::Compare(
                 OpChoice::Choice(ChoiceId(1), vec![CmpOp::Lt]),

@@ -416,7 +416,7 @@ fn transform_children(expr: &Expr, line: u32, ctx: &mut Ctx<'_>) -> CExpr {
                 .map(|u| Box::new(transform_expr(u, line, ctx))),
         ),
         Expr::BinOp(op, left, right) => CExpr::BinOp(
-            OpChoice::Fixed(*op),
+            *op,
             Box::new(transform_expr(left, line, ctx)),
             Box::new(transform_expr(right, line, ctx)),
         ),
@@ -592,7 +592,7 @@ fn instantiate(
                 .map(|u| Box::new(instantiate(u, bindings, original, line, rule, ctx))),
         ),
         Template::BinOp(op, left, right) => CExpr::BinOp(
-            OpChoice::Fixed(*op),
+            *op,
             Box::new(instantiate(left, bindings, original, line, rule, ctx)),
             Box::new(instantiate(right, bindings, original, line, rule, ctx)),
         ),

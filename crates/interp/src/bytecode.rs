@@ -109,11 +109,6 @@ enum Instr {
     BinaryOp(BinOp),
     /// `[.., rhs, current]` → `[.., current op rhs]` (augmented assign).
     BinaryOpAug(BinOp),
-    /// Operator chosen from a table by the candidate selection.
-    BinaryOpChoice {
-        site: u32,
-        table: u32,
-    },
     UnaryOpI(UnaryOp),
     CompareOpI(CmpOp),
     CompareOpChoice {
@@ -229,7 +224,6 @@ struct CompiledFunc {
     slot_names: Vec<String>,
     code: Vec<Instr>,
     jump_tables: Vec<Vec<usize>>,
-    bin_tables: Vec<Vec<BinOp>>,
     cmp_tables: Vec<Vec<CmpOp>>,
 }
 
@@ -764,13 +758,6 @@ impl Vm {
                     let rhs = self.stack.pop().expect("rhs");
                     self.stack.push(binary_op(op, &current, &rhs)?);
                 }
-                Instr::BinaryOpChoice { site, table } => {
-                    let ops = &func.bin_tables[table as usize];
-                    let op = ops[self.choose(site, ops.len())];
-                    let r = self.stack.pop().expect("rhs");
-                    let l = self.stack.pop().expect("lhs");
-                    self.stack.push(binary_op(op, &l, &r)?);
-                }
                 Instr::UnaryOpI(op) => {
                     let v = self.stack.pop().expect("operand");
                     self.stack.push(unary_op(op, &v)?);
@@ -1171,7 +1158,7 @@ enum ExprView<'a, E> {
     Tuple(&'a [E]),
     Index(&'a E, &'a E),
     Slice(&'a E, Option<&'a E>, Option<&'a E>),
-    BinOp(Op<'a, BinOp>, &'a E, &'a E),
+    BinOp(BinOp, &'a E, &'a E),
     UnaryOp(UnaryOp, &'a E),
     Compare(Op<'a, CmpOp>, &'a E, &'a E),
     BoolExpr(BoolOp, &'a E, &'a E),
@@ -1214,7 +1201,7 @@ impl ExprNode for Expr {
             Expr::Slice(base, lower, upper) => {
                 ExprView::Slice(base, lower.as_deref(), upper.as_deref())
             }
-            Expr::BinOp(op, l, r) => ExprView::BinOp(Op::Fixed(*op), l, r),
+            Expr::BinOp(op, l, r) => ExprView::BinOp(*op, l, r),
             Expr::UnaryOp(op, e) => ExprView::UnaryOp(*op, e),
             Expr::Compare(op, l, r) => ExprView::Compare(Op::Fixed(*op), l, r),
             Expr::BoolExpr(op, l, r) => ExprView::BoolExpr(*op, l, r),
@@ -1243,7 +1230,7 @@ impl ExprNode for CExpr {
             CExpr::Slice(base, lower, upper) => {
                 ExprView::Slice(base, lower.as_deref(), upper.as_deref())
             }
-            CExpr::BinOp(o, l, r) => ExprView::BinOp(op(o), l, r),
+            CExpr::BinOp(o, l, r) => ExprView::BinOp(*o, l, r),
             CExpr::UnaryOp(o, e) => ExprView::UnaryOp(*o, e),
             CExpr::Compare(o, l, r) => ExprView::Compare(op(o), l, r),
             CExpr::BoolExpr(o, l, r) => ExprView::BoolExpr(*o, l, r),
@@ -1326,7 +1313,6 @@ struct FnCompiler<'a> {
     slot_names: Vec<String>,
     slot_map: HashMap<String, u32>,
     jump_tables: Vec<Vec<usize>>,
-    bin_tables: Vec<Vec<BinOp>>,
     cmp_tables: Vec<Vec<CmpOp>>,
     loops: Vec<LoopCtx>,
     /// Code positions `< fence` may be jump targets; `emit` never fuses
@@ -1359,7 +1345,6 @@ impl<'a> FnCompiler<'a> {
             slot_names: Vec::new(),
             slot_map: HashMap::new(),
             jump_tables: Vec::new(),
-            bin_tables: Vec::new(),
             cmp_tables: Vec::new(),
             loops: Vec::new(),
             fence: 0,
@@ -1374,7 +1359,6 @@ impl<'a> FnCompiler<'a> {
             slot_names: self.slot_names,
             code: self.code,
             jump_tables: self.jump_tables,
-            bin_tables: self.bin_tables,
             cmp_tables: self.cmp_tables,
         }
     }
@@ -1767,16 +1751,7 @@ impl<'a> FnCompiler<'a> {
             ExprView::BinOp(op, left, right) => {
                 self.expr(left);
                 self.expr(right);
-                let instr = match op {
-                    Op::Fixed(op) => Instr::BinaryOp(op),
-                    Op::Choice(id, ops) => {
-                        let site = self.pools.site(id);
-                        let table = self.bin_tables.len() as u32;
-                        self.bin_tables.push(ops.to_vec());
-                        Instr::BinaryOpChoice { site, table }
-                    }
-                };
-                self.emit(instr);
+                self.emit(Instr::BinaryOp(op));
             }
             ExprView::UnaryOp(op, operand) => {
                 self.expr(operand);

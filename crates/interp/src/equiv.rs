@@ -73,7 +73,7 @@ impl ExecResult {
 }
 
 /// Configuration of the equivalence check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EquivalenceConfig {
     /// Bounded input space.
     pub space: InputSpace,

@@ -201,7 +201,9 @@ impl<'a> BatchBody<'a> {
 /// `"backend": "cegis" | "enum"` (search engine).  Every
 /// grade of the problem is one search under that budget and backend.  A
 /// body with any other key, a known key of the wrong JSON type, or an
-/// unknown backend name is answered `400` naming the field.
+/// unknown backend name is answered `400` naming the field.  The new
+/// registration shares the equivalence oracle of any live one with an
+/// equal reference, entry and input space.
 pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, Json) {
     let body = match parse_body(request) {
         Ok(body) => body,
@@ -224,7 +226,7 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
     // meaningful when the cache is on.
     let use_clustering = use_cache && registration.clustering.unwrap_or(true);
 
-    let built = if let Some(problem_id) = registration.problem {
+    let (id, reference, entry, model) = if let Some(problem_id) = registration.problem {
         let Some(problem) = afg_corpus::problems::problem(problem_id) else {
             return (
                 404,
@@ -232,13 +234,7 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
             );
         };
         let id = registration.id.unwrap_or(problem.id).to_string();
-        Autograder::new(
-            problem.reference,
-            problem.entry,
-            problem.model.clone(),
-            config,
-        )
-        .map(|grader| (id, grader))
+        (id, problem.reference, problem.entry, problem.model.clone())
     } else {
         fn field<'a>(name: &str, value: Option<&'a str>) -> Result<&'a str, String> {
             value.ok_or_else(|| format!("missing string field '{name}'"))
@@ -263,11 +259,24 @@ pub(crate) fn handle_register(request: &Request, registry: &Registry) -> (u16, J
             Ok(model) => model,
             Err(err) => return (422, error_json(&format!("error model: {err}"))),
         };
-        Autograder::new(reference, entry, model, config).map(|grader| (id.to_string(), grader))
+        (id.to_string(), reference, entry, model)
     };
 
+    // Registration is rare, so a scan of the live registrations finds an
+    // equal reference whose oracle this one can share.
+    let live = registry.entries();
+    let built = Autograder::parse_reference(reference).and_then(|reference| {
+        Autograder::sharing(
+            reference,
+            entry,
+            model,
+            config,
+            live.iter().map(|problem| &problem.grader),
+        )
+    });
+
     match built {
-        Ok((id, grader)) => {
+        Ok(grader) => {
             let response = Json::object([
                 ("id", Json::str(&id)),
                 ("entry", Json::str(grader.entry())),

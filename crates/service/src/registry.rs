@@ -1,4 +1,10 @@
 //! The concurrent problem registry: assignment id → ready-to-grade state.
+//!
+//! Each registration owns its model, budget, backend, fingerprint cache,
+//! cluster index and counters.  Its grader's equivalence oracle is shared
+//! with every live registration of an equal reference, entry and input
+//! space (see [`Autograder::sharing`]), so the daemon's memory grows with
+//! the number of distinct assignments, not of registrations.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +18,8 @@ use afg_json::{Json, ToJson};
 pub struct ProblemEntry {
     /// The registered identifier.
     pub id: String,
-    /// The shared, read-only grading pipeline.
+    /// The read-only grading pipeline, shared by concurrent requests; its
+    /// oracle may be shared with other registrations.
     pub grader: Autograder,
     /// The fingerprint cache (`None` when registered with `"cache": false`).
     pub cache: Option<FingerprintCache>,
@@ -207,23 +214,39 @@ impl Registry {
             .cloned()
     }
 
+    /// Every registered problem, in id order.
+    pub fn entries(&self) -> Vec<Arc<ProblemEntry>> {
+        self.problems
+            .read()
+            .expect("registry lock")
+            .values()
+            .cloned()
+            .collect()
+    }
+
     /// Number of registered problems.
     pub fn len(&self) -> usize {
         self.problems.read().expect("registry lock").len()
     }
 
-    /// The `/stats` document.
+    /// The `/stats` document.  `oracles` counts the distinct equivalence
+    /// oracles the registrations hold: registrations of one assignment
+    /// share one.
     pub fn stats_json(&self) -> Json {
-        let problems: Vec<Json> = self
-            .problems
-            .read()
-            .expect("registry lock")
+        let problems = self.problems.read().expect("registry lock");
+        let mut oracles: Vec<_> = problems
             .values()
-            .map(|entry| entry.stats_json())
+            .map(|entry| std::ptr::from_ref(entry.grader.oracle()))
             .collect();
+        oracles.sort_unstable();
+        oracles.dedup();
         Json::object([
             ("uptime_ms", self.started.elapsed().to_json()),
-            ("problems", Json::Array(problems)),
+            (
+                "problems",
+                Json::Array(problems.values().map(|entry| entry.stats_json()).collect()),
+            ),
+            ("oracles", oracles.len().to_json()),
         ])
     }
 }
@@ -271,6 +294,76 @@ mod tests {
         registry.insert(entry("deriv", false));
         assert_eq!(registry.len(), 1);
         assert!(registry.get("deriv").unwrap().cache.is_none());
+    }
+
+    /// Registers `id` as the handler does: sharing the oracle of a live
+    /// registration with an equal reference, entry and input space.
+    fn register(registry: &Registry, id: &str, reference: &str, entry: &str, config: GraderConfig) {
+        let live = registry.entries();
+        let grader = Autograder::sharing(
+            Autograder::parse_reference(reference).unwrap(),
+            entry,
+            library::compute_deriv_model(),
+            config,
+            live.iter().map(|problem| &problem.grader),
+        )
+        .unwrap();
+        registry.insert(ProblemEntry {
+            id: id.to_string(),
+            grader,
+            cache: None,
+            clusters: None,
+            counters: OutcomeCounters::default(),
+        });
+    }
+
+    fn oracles(registry: &Registry) -> Option<i64> {
+        registry.stats_json().get("oracles").and_then(Json::as_i64)
+    }
+
+    #[test]
+    fn stats_counts_the_distinct_oracles() {
+        let registry = Registry::new();
+        assert_eq!(oracles(&registry), Some(0));
+        let deriv = afg_corpus::problems::compute_deriv();
+        let mut budget = GraderConfig::fast();
+        budget.synthesis.max_candidates = 100;
+        let mut enumerative = GraderConfig::fast();
+        enumerative.backend = afg_core::Backend::Enumerative;
+        for (id, config) in [
+            ("a", GraderConfig::fast()),
+            ("b", budget),
+            ("c", enumerative),
+        ] {
+            register(&registry, id, deriv.reference, deriv.entry, config);
+        }
+        assert_eq!(oracles(&registry), Some(1));
+
+        let double = "def double(x_int):\n    return 2 * x_int\n";
+        register(&registry, "d", double, "double", GraderConfig::fast());
+        assert_eq!(oracles(&registry), Some(2));
+
+        // Replacing a registration keeps the count exact: the replaced
+        // one's oracle leaves with it unless another registration holds it.
+        register(
+            &registry,
+            "a",
+            deriv.reference,
+            deriv.entry,
+            GraderConfig::fast(),
+        );
+        assert_eq!(oracles(&registry), Some(2));
+        register(
+            &registry,
+            "d",
+            deriv.reference,
+            deriv.entry,
+            GraderConfig::fast(),
+        );
+        assert_eq!(oracles(&registry), Some(1));
+        register(&registry, "b", double, "double", GraderConfig::fast());
+        assert_eq!(oracles(&registry), Some(2));
+        assert_eq!(registry.len(), 4);
     }
 
     #[test]

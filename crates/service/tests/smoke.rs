@@ -625,3 +625,152 @@ fn grade_and_batch_bodies_are_strict() {
 
     handle.shutdown();
 }
+
+#[test]
+fn registrations_of_one_assignment_share_an_oracle() {
+    let (handle, mut client) = boot();
+    fn register(client: &mut Client, body: Json) {
+        let (status, response) = client.post("/problems", &body).unwrap();
+        assert_eq!(status, 201, "{body} -> {response}");
+    }
+    /// The number of registrations and of distinct oracles in `/stats`.
+    fn oracles(client: &mut Client) -> (usize, i64) {
+        let (status, stats) = client.get("/stats").unwrap();
+        assert_eq!(status, 200);
+        let problems = stats.get("problems").and_then(Json::as_array).unwrap();
+        (
+            problems.len(),
+            stats.get("oracles").and_then(Json::as_i64).unwrap(),
+        )
+    }
+
+    // compDeriv under three ids, two budgets and both backends.
+    register(
+        &mut client,
+        Json::object([("problem", Json::str("compDeriv"))]),
+    );
+    register(
+        &mut client,
+        Json::object([
+            ("problem", Json::str("compDeriv")),
+            ("id", Json::str("deriv-small")),
+            ("max_candidates", Json::Int(100)),
+        ]),
+    );
+    register(
+        &mut client,
+        Json::object([
+            ("problem", Json::str("compDeriv")),
+            ("id", Json::str("deriv-enum")),
+            ("backend", Json::str("enum")),
+        ]),
+    );
+    assert_eq!(oracles(&mut client), (3, 1));
+
+    // A different reference needs an oracle of its own.
+    let custom = |id: &str| {
+        Json::object([
+            ("id", Json::str(id)),
+            ("entry", Json::str("double")),
+            (
+                "reference",
+                Json::str("def double(x_int):\n    return 2 * x_int\n"),
+            ),
+            ("model", Json::str("RETR: return a -> [0]\n")),
+        ])
+    };
+    register(&mut client, custom("double"));
+    assert_eq!(oracles(&mut client), (4, 2));
+
+    // Re-registering an id replaces its registration, and a replaced
+    // registration's oracle goes with it once nothing else holds it.
+    register(
+        &mut client,
+        Json::object([
+            ("problem", Json::str("compDeriv")),
+            ("max_cost", Json::Int(2)),
+        ]),
+    );
+    assert_eq!(oracles(&mut client), (4, 2));
+    register(
+        &mut client,
+        Json::object([
+            ("problem", Json::str("compDeriv")),
+            ("id", Json::str("double")),
+        ]),
+    );
+    assert_eq!(oracles(&mut client), (4, 1));
+    register(&mut client, custom("deriv-enum"));
+    assert_eq!(oracles(&mut client), (4, 2));
+
+    // A shared oracle still grades.
+    let body = Json::object([("source", Json::str(BUGGY))]);
+    for id in ["compDeriv", "double"] {
+        let (status, graded) = client
+            .post(&format!("/problems/{id}/grade"), &body)
+            .unwrap();
+        assert_eq!(status, 200, "{graded}");
+        assert_eq!(
+            graded.get("outcome").and_then(Json::as_str),
+            Some("feedback"),
+            "{id}"
+        );
+    }
+
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_submissions_answer_timeout_within_budget() {
+    let (handle, mut client) = boot();
+    // Registered with defaults: a 3 s search budget.
+    let (status, body) = client
+        .post(
+            "/problems",
+            &Json::object([("problem", Json::str("compDeriv"))]),
+        )
+        .unwrap();
+    assert_eq!(status, 201, "{body}");
+
+    // One 3-line loop repeated 1,000 times: 8,002 choice sites, far over
+    // the selector bound, whose encoding alone once took minutes and
+    // gigabytes.
+    let loops = "    for i in range(1, len(poly)):\n        if poly[i] != 0:\n            d.append(i * poly[i])\n";
+    let source = format!(
+        "def computeDeriv(poly):\n    d = []\n{}    return d\n",
+        loops.repeat(1_000)
+    );
+    assert!(source.len() > 90_000, "{}", source.len());
+
+    let start = std::time::Instant::now();
+    let (status, graded) = client
+        .post(
+            "/problems/compDeriv/grade",
+            &Json::object([("source", Json::str(&source))]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{graded}");
+    assert_eq!(
+        graded.get("outcome").and_then(Json::as_str),
+        Some("timeout")
+    );
+    let (status, report) = client
+        .post(
+            "/problems/compDeriv/grade/batch",
+            &Json::object([("sources", Json::Array(vec![Json::str(&source)]))]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{report}");
+    let items = report.get("items").and_then(Json::as_array).unwrap();
+    assert_eq!(
+        items[0].get("outcome").and_then(Json::as_str),
+        Some("timeout")
+    );
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(3),
+        "two oversized grades took {elapsed:?}"
+    );
+
+    handle.shutdown();
+}
